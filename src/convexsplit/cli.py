@@ -8,8 +8,8 @@ byte-identical for identical config and seed, except for the timing field.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -19,8 +19,8 @@ from .curves import CurveSpec, SamplingError, builtin, decompose_curve, \
     epsilon_sample
 from .exactgeom import (GeneralPositionError, PointSeq, is_general_position,
                         point_seq)
-from .kseq import (KNOWN_BOUNDS, c_bound, from_json_dict, greedy_partition,
-                   reduce, to_json_dict, verify_flip)
+from .kseq import (KNOWN_BOUNDS, from_json_dict, greedy_partition,
+                   iter_c_bounds, reduce, to_json_dict, verify_flip)
 from .ordertype import is_flip, is_order_type_homogeneous
 from .ramsey import longest_ot_homogeneous, super_extract
 
@@ -82,6 +82,20 @@ def _load_json(text: str):
         raise ParseFailure(f"invalid JSON input: {exc}") from exc
 
 
+def _parse_json_row(row) -> list[Fraction]:
+    """One JSON point: a list of numbers or rational strings."""
+    if not isinstance(row, list):
+        raise ParseFailure(
+            f"each point must be a list of coordinates, got "
+            f"{type(row).__name__}")
+    for c in row:
+        if isinstance(c, bool) or not isinstance(c, (int, float, str)):
+            raise ParseFailure(
+                f"each coordinate must be a number or a rational string, "
+                f"got {type(c).__name__}")
+    return [_parse_rational(c) for c in row]
+
+
 def parse_points_text(text: str, expected_dim: int | None) -> PointSeq:
     """Points from CSV (one row per point) or JSON {dim, points}."""
     stripped = text.lstrip()
@@ -97,7 +111,7 @@ def parse_points_text(text: str, expected_dim: int | None) -> PointSeq:
             rows = obj
         if not isinstance(rows, list) or not rows:
             raise ParseFailure("points must be a non-empty list of rows")
-        parsed = [[_parse_rational(c) for c in row] for row in rows]
+        parsed = [_parse_json_row(row) for row in rows]
     else:
         parsed = []
         for line in text.splitlines():
@@ -178,24 +192,6 @@ def _curve_config(curve: CurveSpec) -> dict:
         else:
             cfg[key] = val
     return cfg
-
-
-def _threads(args) -> int:
-    value = args.threads
-    if value is None:
-        env = os.environ.get("CONVEXSPLIT_THREADS")
-        if env is not None:
-            try:
-                value = int(env)
-            except ValueError as exc:
-                raise ParseFailure(
-                    f"CONVEXSPLIT_THREADS is not an integer: {env!r}"
-                ) from exc
-    if value is None:
-        value = os.cpu_count() or 1
-    if value < 1:
-        raise ParseFailure("--threads must be >= 1")
-    return value
 
 
 def render_svg(seq: PointSeq, pieces=None) -> str:
@@ -280,7 +276,7 @@ class Reporter:
 
 
 def _base_config(args, **extra) -> dict:
-    cfg = {"threads": _threads(args)}
+    cfg = {}
     if getattr(args, "input", None):
         cfg["input"] = args.input
     cfg.update(extra)
@@ -477,7 +473,8 @@ def cmd_bounds(args) -> int:
     rep = Reporter(args, "bounds", _base_config(args, k=args.k.strip()))
     result = {
         "k": ks,
-        "c": [_rat(c_bound(k)) for k in ks],
+        "c": [_rat(c) for c in
+              itertools.islice(iter_c_bounds(), ks[0] - 1, ks[-1])],
         "known_bounds": dict(KNOWN_BOUNDS),
     }
     return rep.emit(result)
@@ -535,10 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=DEFAULT_ORACLE_BUDGET,
                        help="max n for brute-force oracle runs "
                             f"(default {DEFAULT_ORACLE_BUDGET})")
-        p.add_argument("--threads", type=int,
-                       help="worker threads (default: CONVEXSPLIT_THREADS "
-                            "or hardware concurrency); current operations "
-                            "are sequential, the value is echoed")
         p.add_argument("--out-json", help="also write the report here")
         p.add_argument("--out-svg", help="write an SVG plot (d=2 only)")
         if eps:

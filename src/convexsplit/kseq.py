@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactgeom import GeneralPositionError, PointSeq
-from .ordertype import tuple_sign
+from .ordertype import convex_chain_extends, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
 #: recorded for reference and surfaced by the CLI `bounds` command, never
@@ -165,9 +165,22 @@ def _extend(s: KSequence, start: int, nxt: int,
             sigma: int | None) -> tuple[bool, int | None]:
     """Can element nxt join the block [start, nxt)?  All new (k+1)-subsets
     must have sign sigma (the first subset checked fixes sigma when it is
-    still open)."""
+    still open).
+
+    Geometric planar blocks are accepted in O(1): one orientation for a
+    two-point block, else the three signs of convex_chain_extends.  The
+    pair loop of _extend_planar runs only when that test fails, so it
+    builds the same rejection or GeneralPositionError as the full scan.
+    """
     if s.k == 2 and s._points is not None:
-        return _extend_planar(s._points, start, nxt, sigma)
+        seq = s._points
+        if nxt - start == 2:
+            t = seq.orientation_of((start, start + 1, nxt))
+            if t and sigma in (None, t):
+                return True, t
+        elif convex_chain_extends(seq, start, nxt - 1, nxt, sigma):
+            return True, sigma
+        return _extend_planar(seq, start, nxt, sigma)
     for comb in itertools.combinations(range(start, nxt), s.k):
         t = s.sign_at(comb + (nxt,))
         if sigma is None:
@@ -178,7 +191,14 @@ def _extend(s: KSequence, start: int, nxt: int,
 
 
 def greedy_partition(s: KSequence) -> GreedyPartition:
-    """Left-to-right maximal partition into monochromatic blocks."""
+    """Left-to-right maximal partition into monochromatic blocks.
+
+    Each candidate element is tested against the (k+1)-subsets it forms
+    with the current block.  Geometric planar sequences need O(1)
+    orientations per accepted element (see _extend), so O(n) over a
+    convex path; other sequences check all C(b, k) new subsets for a
+    block of b elements.
+    """
     n = len(s)
     if n < 1:
         raise ValueError("empty sequence has no greedy partition")
@@ -234,18 +254,25 @@ def reduce(s: KSequence) -> KSequence:
     return s.restrict(sorted(kept))
 
 
+def iter_c_bounds() -> Iterator[Fraction]:
+    """c(1), c(2), ...: one step of the c_bound recurrence per value."""
+    c, k = Fraction(3), 1
+    while True:
+        yield c
+        k += 1
+        c = 1 + Fraction(4 * k + 10) * c / k
+
+
 def c_bound(k: int) -> Fraction:
     """Exact rational block-count bound for flip k-sequences.
 
     Base 3 for k = 1, then c(k) = 1 + (4k+10) c(k-1) / k.  Consumers that
-    need an integer block bound take the ceiling.
+    need an integer block bound take the ceiling; consumers that need a
+    range of k read iter_c_bounds once instead.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    c = Fraction(3)
-    for i in range(2, k + 1):
-        c = 1 + Fraction(4 * i + 10) * c / i
-    return c
+    return next(itertools.islice(iter_c_bounds(), k - 1, None))
 
 
 @dataclass(frozen=True)

@@ -60,15 +60,86 @@ def tuple_sign(seq: PointSeq, idx: Sequence[int]) -> int:
     return s
 
 
-def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
-    """Check all C(n, d+1) tuples for a common orientation sign.
+def convex_chain_extends(seq: PointSeq, start: int, last: int, q: int,
+                         sigma: int) -> bool:
+    """Does the planar block start..last, homogeneous with sign ``sigma``
+    and at least 3 points long, stay homogeneous when q > last joins it?
 
-    The witness, when present, is the lexicographically least pair of
-    opposite-sign tuples.
+    Three orientations decide it: the turns at p_last, at q and at
+    p_start of the closed polygon p_start..p_last, q, i.e.
+    orient(p_{last-1}, p_last, q), orient(p_start, p_last, q) and
+    orient(p_start, p_{start+1}, q) must all equal sigma.
+
+    Proof (sigma = +1; mirror the plane for -1).  A planar sequence has
+    every triple positive iff, read as a closed polygon, each directed
+    edge has every other vertex strictly on its left, i.e. iff it is a
+    strictly convex polygon listed counterclockwise: for an edge
+    p_i p_{i+1} the triples (i, i+1, k) and (k, i, i+1) are positive, and
+    for the closing edge p_m p_s, orient(p_m, p_s, p_k) =
+    orient(p_s, p_k, p_m) > 0.  Necessity of the three signs is then
+    immediate, as they are triples of the extended sequence.  For
+    sufficiency, the old block sees p_{start+1}, ..., p_last from p_start
+    in strictly counterclockwise order within an angle below pi, all left
+    of the ray p_start p_{start+1}.  orient(p_start, p_{start+1}, q) > 0
+    puts q left of that ray too, and orient(p_start, p_last, q) > 0 puts
+    it counterclockwise after p_last, so the fan from p_start still
+    spans less than pi and its triangles p_start p_j p_{j+1} and
+    p_start p_last q are positive and pairwise interior-disjoint.  The
+    new closed polygon is the union of that fan, hence simple.  Its turns
+    at the old inner vertices are unchanged, and the turns at p_last, q
+    and p_start are the three checked signs, so every turn is left.  A
+    simple polygon turning left at every vertex is strictly convex and
+    counterclockwise, so every triple of the extended sequence is
+    positive.
+
+    Indices must satisfy start + 2 <= last < q.  No analogue is known for
+    d >= 3, where callers keep the exhaustive scan.
+    """
+    o = seq.orientation_of
+    return (o((last - 1, last, q)) == sigma
+            and o((start, last, q)) == sigma
+            and o((start, start + 1, q)) == sigma)
+
+
+def _local_sign(seq: PointSeq) -> int | None:
+    """Common sign of a d <= 2 sequence from O(n) local orientations.
+
+    d = 1: all consecutive pairs share a sign iff the coordinates are
+    strictly monotone, iff every pair does.  d = 2: the first triple fixes
+    sigma and each later point must pass convex_chain_extends against the
+    prefix before it.  Returns None when some local sign is 0 or -sigma;
+    the sequence is then either degenerate or not homogeneous.
+    """
+    n, o = len(seq), seq.orientation_of
+    if seq.dim == 1:
+        sigma = o((0, 1))
+        if sigma and all(o((i - 1, i)) == sigma for i in range(2, n)):
+            return sigma
+        return None
+    sigma = o((0, 1, 2))
+    if sigma and all(convex_chain_extends(seq, 0, m - 1, m, sigma)
+                     for m in range(3, n)):
+        return sigma
+    return None
+
+
+def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
+    """Common orientation sign of all (d+1)-tuples, if there is one.
+
+    For d <= 2 a local test settles homogeneous input with at most 3n
+    orientations (see convex_chain_extends).  Otherwise, and whenever a
+    local sign is 0 or opposite, all C(n, d+1) tuples are scanned in
+    lexicographic order: the witness, when present, is the
+    lexicographically least pair of opposite-sign tuples, and a zero
+    orientation met before any such pair raises GeneralPositionError.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
+    if d <= 2:
+        sigma = _local_sign(seq)
+        if sigma is not None:
+            return HomogeneityReport(True, sign=sigma)
     first = None
     sign0 = 0
     for idx in itertools.combinations(range(n), d + 1):

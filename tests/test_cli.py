@@ -4,12 +4,14 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from jsonschema import Draft202012Validator
 
-from convexsplit.cli import main
+from convexsplit.cli import _rat, main
 from convexsplit.exactgeom import point_seq
+from convexsplit.kseq import c_bound
 from convexsplit.ordertype import is_order_type_homogeneous, tuple_sign
 
 ZIGZAG_CSV = "0,0\n1,1\n2,0\n3,1\n"
@@ -105,6 +107,25 @@ class TestParsing:
         code, report = run(["homog", "--input", "-"])
         assert code == 0
         assert report["result"]["n"] == 4
+
+    @pytest.mark.parametrize("text", [
+        '{"points": [1, 2, 3]}',
+        '[1, 2, 3]',
+        '{"points": ["12", "34", "56"]}',
+        '{"points": [{"x": 1, "y": 2}, {"x": 3, "y": 4}]}',
+        '{"points": [[{"x": 1}, 2], [0, 0]]}',
+        '{"points": [[[1], [2]], [[3], [4]]]}',
+        '{"points": [[true, 1], [0, 0], [1, 2]]}',
+    ])
+    @pytest.mark.parametrize("command", ["homog", "flip"])
+    def test_json_shape_is_a_parse_error(self, command, text, capsys,
+                                         monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main([command, "--input", "-"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convexsplit: error:")
 
     def test_csv_and_json_inputs_agree(self, run, tmp_path):
         csv = write(tmp_path, "p.csv", "# a comment\n" + ZIGZAG_CSV)
@@ -385,6 +406,16 @@ class TestBounds:
         code, _ = run(["bounds", "--k", "4..2"], expect_report=False)
         assert code == 2
 
+    def test_long_range_is_linear(self, run):
+        started = time.perf_counter()
+        code, report = run(["bounds", "--k", "1..3000"])
+        assert time.perf_counter() - started < 5.0
+        assert code == 0
+        c = report["result"]["c"]
+        assert len(c) == 3000
+        for k in (1, 2, 7, 3000):
+            assert c[k - 1] == _rat(c_bound(k))
+
 
 class TestRamsey:
     def test_homogeneous_input(self, run, tmp_path):
@@ -420,24 +451,6 @@ class TestReporting:
         code, report = run(["bounds", "--k", "2", "--out-json", str(out)])
         assert code == 0
         assert json.loads(out.read_text()) == report
-
-    def test_threads_env(self, run, monkeypatch):
-        monkeypatch.setenv("CONVEXSPLIT_THREADS", "7")
-        _, report = run(["bounds", "--k", "1"])
-        assert report["config"]["threads"] == 7
-
-    def test_threads_flag_wins(self, run, monkeypatch):
-        monkeypatch.setenv("CONVEXSPLIT_THREADS", "7")
-        _, report = run(["bounds", "--k", "1", "--threads", "3"])
-        assert report["config"]["threads"] == 3
-
-    def test_bad_threads(self, run, monkeypatch):
-        code, _ = run(["bounds", "--k", "1", "--threads", "0"],
-                      expect_report=False)
-        assert code == 2
-        monkeypatch.setenv("CONVEXSPLIT_THREADS", "many")
-        code, _ = run(["bounds", "--k", "1"], expect_report=False)
-        assert code == 2
 
     def test_keys_are_sorted(self, run, capsys):
         main(["bounds", "--k", "1"])
