@@ -8,6 +8,7 @@ byte-identical for identical config and seed, except for the timing field.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -164,6 +165,17 @@ def load_curve(args) -> CurveSpec:
         name = params.pop("curve")
     else:
         raise ParseFailure("this command needs --curve or --input")
+    for key in ("d", "dents"):
+        val = params.get(key)
+        if key in params and (isinstance(val, bool)
+                              or not isinstance(val, int)):
+            raise ParseFailure(f'curve "{key}" must be an integer, '
+                               f'got {val!r}')
+    domain = params.get("domain")
+    if domain is not None and not (isinstance(domain, list)
+                                   and len(domain) == 2):
+        raise ParseFailure(f'curve "domain" must be a list of 2 rationals, '
+                           f'got {domain!r}')
     if name == "moment":
         if "d" not in params:
             raise ParseFailure("moment curve needs --dim (or \"d\" in JSON)")
@@ -176,7 +188,7 @@ def load_curve(args) -> CurveSpec:
         del params["domain"]
     try:
         return builtin(name, **params)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ParseFailure(f"invalid curve: {exc}") from exc
 
 
@@ -468,16 +480,33 @@ def _parse_k_range(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+@contextlib.contextmanager
+def _unlimited_int_digits():
+    """Lift CPython's int/str conversion digit limit (3.11+) inside the
+    block only; callers outside it keep the interpreter's setting."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_bounds(args) -> int:
     ks = _parse_k_range(args.k)
     rep = Reporter(args, "bounds", _base_config(args, k=args.k.strip()))
-    result = {
-        "k": ks,
-        "c": [_rat(c) for c in
-              itertools.islice(iter_c_bounds(), ks[0] - 1, ks[-1])],
-        "known_bounds": dict(KNOWN_BOUNDS),
-    }
-    return rep.emit(result)
+    # c(k) is exact and passes 4300 digits from k = 4926.
+    with _unlimited_int_digits():
+        result = {
+            "k": ks,
+            "c": [_rat(c) for c in
+                  itertools.islice(iter_c_bounds(), ks[0] - 1, ks[-1])],
+            "known_bounds": dict(KNOWN_BOUNDS),
+        }
+        return rep.emit(result)
 
 
 def cmd_ramsey(args) -> int:

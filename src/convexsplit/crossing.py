@@ -42,6 +42,21 @@ class PolyPath:
             raise GeneralPositionError(
                 "path vertices are not in general position", report.witness)
 
+    @classmethod
+    def _certified(cls, seq: PointSeq) -> "PolyPath":
+        """Path on vertices already certified in general position, built
+        without re-running is_general_position.
+
+        Only epsilon_sample calls this, with the points that
+        IncrementalGeneralPosition accepted.  Every subset of <= dim+1 of
+        them was checked when its last point joined, which covers each
+        subset that is_general_position checks, and the sampler always
+        keeps at least 2 points.
+        """
+        path = object.__new__(cls)
+        object.__setattr__(path, "seq", seq)
+        return path
+
     @property
     def dim(self) -> int:
         return self.seq.dim

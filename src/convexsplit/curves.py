@@ -180,6 +180,12 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
     seeded splitmix64 stream; a cell is retried (fresh jitter) when its
     point would break general position, and SamplingError is raised after
     max_retries failures in one cell.
+
+    General position is certified once, as the points arrive: the k-th
+    accepted point costs k integer directions in IncrementalGeneralPosition,
+    so n points take one pass of C(n, 2) directions and, in the plane, O(n)
+    memory.  The returned path reuses that certificate instead of checking
+    its vertices again.
     """
     eps = as_rational(eps)
     if eps <= 0:
@@ -205,7 +211,7 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
             retries += 1
         else:
             raise SamplingError(cell, max_retries)
-    path = PolyPath(point_seq(gp.points, dim=curve.dim))
+    path = PolyPath._certified(point_seq(gp.points, dim=curve.dim))
     return EpsSample(eps, tuple(params), path, retries)
 
 

@@ -238,19 +238,35 @@ def project(seq: PointSeq, k: int) -> PointSeq:
     return PointSeq(k, tuple(p[:k] for p in seq.points), seq.labels)
 
 
-def _direction(p: Point, q: Point) -> tuple[int, ...] | None:
-    """Canonical integer direction of q - p; None when p == q."""
-    diff = [b - a for a, b in zip(p, q)]
-    if all(v == 0 for v in diff):
+def _direction(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
+    """Canonical direction of the line through two points; None when they
+    coincide.
+
+    ``p`` and ``q`` are homogeneous rows (L, L*x) and (M, M*y) with L, M > 0
+    (see _hom_row), so L*q[1:] - M*p[1:] = L*M*(y - x) is a positive
+    multiple of y - x, computed without leaving the integers.  Divided by
+    its gcd and with its leading nonzero entry made positive, it is the
+    primitive integer vector along the line, the same tuple for either
+    order of p and q, and two pairs of points share it iff their lines
+    are parallel.
+    """
+    l, m = p[0], q[0]
+    if len(p) == 3:
+        x = l * q[1] - m * p[1]
+        y = l * q[2] - m * p[2]
+        if not (x or y):
+            return None
+        g = math.gcd(x, y)
+        if x < 0 or (x == 0 and y < 0):
+            g = -g
+        return (x // g, y // g)
+    v = [l * b - m * a for a, b in zip(p[1:], q[1:])]
+    g = math.gcd(*v)
+    if g == 0:
         return None
-    scale = math.lcm(*(v.denominator for v in diff))
-    ints = [(scale // v.denominator) * v.numerator for v in diff]
-    g = math.gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v != 0)
-    if lead < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
 
 
 def _duplicate_witness(seq: PointSeq) -> tuple[int, int] | None:
@@ -266,12 +282,12 @@ def _collinear_witness(seq: PointSeq) -> tuple[int, int, int] | None:
     # A collinear triple {a, b, c} (a < b < c) collides as equal directions
     # out of its least element; one hash pass per anchor beats enumerating
     # all C(n,3) triples.
-    pts = seq.points
-    n = len(pts)
+    hom = seq._hom
+    n = len(hom)
     for a in range(n - 2):
         seen: dict[tuple[int, ...], int] = {}
         for b in range(a + 1, n):
-            d = _direction(pts[a], pts[b])
+            d = _direction(hom[a], hom[b])
             other = seen.setdefault(d, b)
             if other != b:
                 return (a, other, b)
@@ -310,31 +326,42 @@ class IncrementalGeneralPosition:
 
     ``try_add`` either commits the point and returns None, or leaves the
     state untouched and returns a witness subset (indices, the new point
-    being the next index).
+    being the next index).  The state is the committed points and their
+    homogeneous rows, O(n) in all; no per-pair data is kept.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.points: list[Point] = []
         self._hom: list[tuple[int, ...]] = []
-        self._dirs: list[dict[tuple[int, ...], int]] = []
 
     def try_add(self, p: Point) -> tuple[int, ...] | None:
-        i = len(self.points)
-        new_dirs: list[tuple[int, ...]] = []
-        for a in range(i):
-            d = _direction(self.points[a], p)
-            if d is None:
-                # duplicate pair: smaller than any collinear triple
-                return (a, i)
-            new_dirs.append(d)
-        if self.dim >= 2:
-            # collinear triples only matter from dimension 2 up
-            for a, d in enumerate(new_dirs):
-                hit = self._dirs[a].get(d)
-                if hit is not None:
-                    return (a, hit, i)
+        """Check the subsets of <= dim+1 points whose last point is p.
+
+        The i-th point costs i integer directions, one per earlier point a,
+        and O(i) transient memory.  A direction of None is the duplicate
+        pair (a, i), returned at the least a.  From dimension 2 up, {a, b, i}
+        is collinear iff dir(a->i) == dir(b->i).  The committed points are
+        in general position, so each line through the new point holds at
+        most two of them; the colliding pairs are disjoint, and the least
+        one (a, b) gives (a, b, i), the lexicographically least collinear
+        triple ending at i.  Subsets of 4..dim+1 points follow in
+        lexicographic order, by orientation or rank.
+        """
+        i = len(self._hom)
         hom = _hom_row(p)
+        seen: dict[tuple[int, ...], int] = {}
+        collinear: tuple[int, int, int] | None = None
+        for a, row in enumerate(self._hom):
+            d = _direction(row, hom)
+            if d is None:
+                return (a, i)
+            if self.dim >= 2:
+                b = seen.setdefault(d, a)
+                if b != a and (collinear is None or b < collinear[0]):
+                    collinear = (b, a, i)
+        if collinear is not None:
+            return collinear
         for size in range(4, self.dim + 2):
             full = size == self.dim + 1
             for idx in itertools.combinations(range(i), size - 1):
@@ -344,9 +371,6 @@ class IncrementalGeneralPosition:
                         return idx + (i,)
                 elif _rank(rows) < size:
                     return idx + (i,)
-        for a, d in enumerate(new_dirs):
-            self._dirs[a][d] = i
-        self._dirs.append({})
         self.points.append(p)
         self._hom.append(hom)
         return None

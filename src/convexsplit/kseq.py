@@ -133,13 +133,14 @@ class GreedyPartition:
         return len(self.blocks)
 
 
-def _extend_planar(seq: PointSeq, start: int, nxt: int,
-                   sigma: int | None) -> tuple[bool, int | None]:
+def _extend_planar(seq: PointSeq, start: int, nxt: int, sigma: int | None
+                   ) -> tuple[tuple[int, int] | None, int | None]:
     """Planar specialization of the block-extension test.
 
     Checks the same pair subsets in the same order as the generic loop,
-    but evaluates each orientation as an integer 3x3 determinant with the
-    candidate row's cofactors hoisted out of the pair loop.
+    and returns the same (witness, sigma), but evaluates each orientation
+    as an integer 3x3 determinant with the candidate row's cofactors
+    hoisted out of the pair loop.
     """
     hom = seq._hom
     c0, c1, c2 = hom[nxt]
@@ -157,15 +158,19 @@ def _extend_planar(seq: PointSeq, start: int, nxt: int,
             if sigma is None:
                 sigma = t
             elif t != sigma:
-                return False, sigma
-    return True, sigma
+                return (start + i, start + j), sigma
+    return None, sigma
 
 
-def _extend(s: KSequence, start: int, nxt: int,
-            sigma: int | None) -> tuple[bool, int | None]:
+def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
+            ) -> tuple[tuple[int, ...] | None, int | None]:
     """Can element nxt join the block [start, nxt)?  All new (k+1)-subsets
     must have sign sigma (the first subset checked fixes sigma when it is
     still open).
+
+    Returns (witness, sigma).  The witness is None when nxt joins, else
+    the first k-subset D, in lexicographic order, with sign(D + nxt) !=
+    sigma: the scan stops there, so it is the block's rejection witness.
 
     Geometric planar blocks are accepted in O(1): one orientation for a
     two-point block, else the three signs of convex_chain_extends.  The
@@ -177,17 +182,17 @@ def _extend(s: KSequence, start: int, nxt: int,
         if nxt - start == 2:
             t = seq.orientation_of((start, start + 1, nxt))
             if t and sigma in (None, t):
-                return True, t
+                return None, t
         elif convex_chain_extends(seq, start, nxt - 1, nxt, sigma):
-            return True, sigma
+            return None, sigma
         return _extend_planar(seq, start, nxt, sigma)
     for comb in itertools.combinations(range(start, nxt), s.k):
         t = s.sign_at(comb + (nxt,))
         if sigma is None:
             sigma = t
         elif t != sigma:
-            return False, sigma
-    return True, sigma
+            return comb, sigma
+    return None, sigma
 
 
 def greedy_partition(s: KSequence) -> GreedyPartition:
@@ -197,7 +202,8 @@ def greedy_partition(s: KSequence) -> GreedyPartition:
     with the current block.  Geometric planar sequences need O(1)
     orientations per accepted element (see _extend), so O(n) over a
     convex path; other sequences check all C(b, k) new subsets for a
-    block of b elements.
+    block of b elements.  A block's witness is the subset on which _extend
+    rejected its successor, so no second scan builds it.
     """
     n = len(s)
     if n < 1:
@@ -208,27 +214,23 @@ def greedy_partition(s: KSequence) -> GreedyPartition:
     while True:
         end = start
         sigma: int | None = None
-        rejected: int | None = None
+        wit: tuple[int, ...] | None = None
         while end + 1 < n:
             nxt = end + 1
             if nxt - start + 1 <= k:
                 end = nxt
                 continue
-            ok, sigma = _extend(s, start, nxt, sigma)
-            if not ok:
-                rejected = nxt
+            wit, sigma = _extend(s, start, nxt, sigma)
+            if wit is not None:
                 break
             end = nxt
         blocks.append((start, end))
-        if rejected is None:
+        if wit is None:
             # ran out of elements: last block; sign only if big enough
             signs.append(sigma if end - start + 1 > k else None)
             witnesses.append(None)
             break
         signs.append(sigma)
-        wit = next(
-            comb for comb in itertools.combinations(range(start, end + 1), k)
-            if s.sign_at(comb + (rejected,)) != sigma)
         witnesses.append(wit)
         start = end
     return GreedyPartition(tuple(blocks), tuple(signs), tuple(witnesses))

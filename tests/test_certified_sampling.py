@@ -1,0 +1,334 @@
+"""Integer general-position sampling, certified once, against the paths it
+replaced.
+
+``_direction`` works on integer homogeneous rows, ``try_add`` finds
+collinear triples from the new point's own directions, ``epsilon_sample``
+hands its certified points to ``PolyPath`` without a second check, and
+greedy extension returns its own rejection witness.  The oracles below
+are the replaced versions: the ``Fraction`` direction, the ``try_add``
+that kept a dictionary of directions per earlier point, and the greedy
+partition that searched for each witness again after the extension loop.
+"""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from convexsplit import exactgeom, kseq
+from convexsplit.crossing import PolyPath
+from convexsplit.curves import builtin, epsilon_sample
+from convexsplit.exactgeom import (IncrementalGeneralPosition, _det_sign,
+                                   _hom_row, _rank, as_point,
+                                   is_general_position, point_seq)
+from convexsplit.kseq import KSequence, from_points, from_table
+
+
+def fraction_direction(p, q):
+    """Reference: canonical integer direction of q - p from Fraction
+    differences; None when p == q."""
+    diff = [b - a for a, b in zip(p, q)]
+    if all(v == 0 for v in diff):
+        return None
+    scale = math.lcm(*(v.denominator for v in diff))
+    ints = [(scale // v.denominator) * v.numerator for v in diff]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    lead = next(v for v in ints if v != 0)
+    if lead < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
+
+
+class DirsIncrementalGeneralPosition:
+    """Reference: try_add with a dictionary of directions per earlier
+    point, O(n^2) entries in all."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.points = []
+        self._hom = []
+        self._dirs = []
+
+    def try_add(self, p):
+        i = len(self.points)
+        new_dirs = []
+        for a in range(i):
+            d = fraction_direction(self.points[a], p)
+            if d is None:
+                return (a, i)
+            new_dirs.append(d)
+        if self.dim >= 2:
+            for a, d in enumerate(new_dirs):
+                hit = self._dirs[a].get(d)
+                if hit is not None:
+                    return (a, hit, i)
+        hom = _hom_row(p)
+        for size in range(4, self.dim + 2):
+            full = size == self.dim + 1
+            for idx in itertools.combinations(range(i), size - 1):
+                rows = [self._hom[j] for j in idx] + [hom]
+                if full:
+                    if _det_sign(rows) == 0:
+                        return idx + (i,)
+                elif _rank(rows) < size:
+                    return idx + (i,)
+        for a, d in enumerate(new_dirs):
+            self._dirs[a][d] = i
+        self._dirs.append({})
+        self.points.append(p)
+        self._hom.append(hom)
+        return None
+
+
+def two_scan_greedy(s: KSequence) -> kseq.GreedyPartition:
+    """Reference: greedy partition over the generic sign_at loop, with
+    each block's witness found by a second lexicographic scan."""
+    n, k = len(s), s.k
+    blocks, signs, witnesses = [], [], []
+    start = 0
+    while True:
+        end = start
+        sigma = None
+        rejected = None
+        while end + 1 < n:
+            nxt = end + 1
+            if nxt - start + 1 <= k:
+                end = nxt
+                continue
+            ok = True
+            for comb in itertools.combinations(range(start, nxt), k):
+                t = s.sign_at(comb + (nxt,))
+                if sigma is None:
+                    sigma = t
+                elif t != sigma:
+                    ok = False
+                    break
+            if not ok:
+                rejected = nxt
+                break
+            end = nxt
+        blocks.append((start, end))
+        if rejected is None:
+            signs.append(sigma if end - start + 1 > k else None)
+            witnesses.append(None)
+            break
+        signs.append(sigma)
+        witnesses.append(next(
+            comb for comb in itertools.combinations(range(start, end + 1), k)
+            if s.sign_at(comb + (rejected,)) != sigma))
+        start = end
+    return kseq.GreedyPartition(tuple(blocks), tuple(signs),
+                                tuple(witnesses))
+
+
+def outcome(fn, *args):
+    """Result, or the raised error's type and witness.  The planar pair
+    loop and tuple_sign word their errors differently."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return (type(exc), getattr(exc, "witness", None))
+
+
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def point_pairs(draw):
+    d = draw(st.integers(1, 4))
+    p = draw(st.tuples(*[rationals] * d))
+    if draw(st.booleans()):
+        return p, p
+    if draw(st.booleans()):
+        # q - p a rational multiple of a small integer vector
+        v = draw(st.tuples(*[st.integers(-3, 3)] * d))
+        c = draw(rationals)
+        return p, tuple(a + c * b for a, b in zip(p, v))
+    return p, draw(st.tuples(*[rationals] * d))
+
+
+@st.composite
+def streams(draw, dim):
+    """Small grid or rational points: duplicates, collinear triples and,
+    in R^3, coplanar quadruples are common."""
+    coord = st.one_of(st.integers(0, 4),
+                      st.fractions(min_value=0, max_value=4,
+                                   max_denominator=3))
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=1,
+                         max_size=12 if dim == 2 else 9))
+
+
+class TestIntegerDirection:
+    @given(point_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_direction(self, pair):
+        p, q = map(as_point, pair)
+        got = exactgeom._direction(_hom_row(p), _hom_row(q))
+        assert got == fraction_direction(p, q)
+        assert exactgeom._direction(_hom_row(q), _hom_row(p)) == got
+
+    def test_uses_no_fraction_arithmetic(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("Fraction arithmetic in _direction")
+
+        p, q = as_point(("1/3", "-2/7")), as_point(("5/6", "1/2"))
+        rows = _hom_row(p), _hom_row(q)
+        for op in ("__sub__", "__rsub__", "__add__", "__mul__"):
+            monkeypatch.setattr(Fraction, op, forbidden)
+        assert exactgeom._direction(*rows) == (7, 11)
+
+
+class TestIncrementalWitnesses:
+    def _compare(self, rows, dim):
+        new = IncrementalGeneralPosition(dim)
+        old = DirsIncrementalGeneralPosition(dim)
+        for p in map(as_point, rows):
+            assert new.try_add(p) == old.try_add(p)
+            assert new.points == old.points
+
+    @given(streams(2))
+    @settings(max_examples=300, deadline=None)
+    def test_planar_stream(self, rows):
+        self._compare(rows, 2)
+
+    @given(streams(3))
+    @settings(max_examples=150, deadline=None)
+    def test_spatial_stream(self, rows):
+        self._compare(rows, 3)
+
+    @given(streams(1))
+    @settings(max_examples=60, deadline=None)
+    def test_line_stream(self, rows):
+        self._compare(rows, 1)
+
+    def test_least_colliding_pair_wins(self):
+        # the new point (2, 2) closes two collinear triples, {1, 2, 4} and
+        # {0, 3, 4}; the scan meets {1, 2} first, the witness is {0, 3}
+        pts = [(0, 0), (2, 0), (2, 1), (1, 1)]
+        new = IncrementalGeneralPosition(2)
+        for p in pts:
+            assert new.try_add(as_point(p)) is None
+        assert new.try_add(as_point((2, 2))) == (0, 3, 4)
+
+
+curve_choices = st.one_of(
+    st.just((builtin("quintic"), (Fraction(1, 8), Fraction(1, 20)))),
+    st.builds(lambda dents, den: (
+        builtin("dented_arc", dents=dents, depth=Fraction(1, den)),
+        (Fraction(1, 12), Fraction(1, 24))),
+        st.integers(1, 4), st.integers(17, 60)),
+    st.builds(lambda c2, c3: (
+        builtin("poly", coeffs=[[0, 1], [1, 0, c2, c3]], domain=(-1, 1)),
+        (Fraction(1, 6), Fraction(1, 12))),
+        st.integers(-3, 3).filter(bool), st.integers(-3, 3)),
+    st.builds(lambda c: (
+        builtin("poly", coeffs=[[0, 1], [0, 0, 1], [0, 0, 0, c]]),
+        (Fraction(1, 4), Fraction(1, 6))),
+        st.integers(1, 3)),
+    st.just((builtin("moment", dim=2), (Fraction(1, 8), Fraction(1, 20)))),
+    st.just((builtin("moment", dim=3), (Fraction(1, 4), Fraction(1, 8)))),
+)
+
+
+class TestCertifiedSample:
+    @given(curve_choices, st.integers(0, 1), st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_sampled_paths_are_in_general_position(self, choice, which,
+                                                   seed):
+        curve, eps_choices = choice
+        sample = epsilon_sample(curve, eps_choices[which], seed)
+        assert is_general_position(sample.path.seq)
+
+    def test_public_construction_still_checks(self):
+        seq = point_seq([(0, 0), (1, 1), (2, 2)])
+        with pytest.raises(exactgeom.GeneralPositionError):
+            PolyPath(seq)
+
+
+@pytest.fixture(scope="module")
+def quintic_100():
+    return builtin("quintic"), Fraction(1, 100)
+
+
+class TestCounters:
+    def test_sampler_makes_one_direction_per_pair(self, quintic_100,
+                                                  monkeypatch):
+        calls = [0]
+        direction = exactgeom._direction
+
+        def counting(p, q):
+            calls[0] += 1
+            return direction(p, q)
+
+        monkeypatch.setattr(exactgeom, "_direction", counting)
+        sample = epsilon_sample(*quintic_100)
+        assert len(sample.path.seq) == 400
+        assert sample.retries == 0
+        assert calls[0] == 400 * 399 // 2
+
+    def test_greedy_on_sample_makes_no_sign_at_calls(self, quintic_100,
+                                                      monkeypatch):
+        seq = epsilon_sample(*quintic_100).path.seq
+        calls = [0]
+        sign_at = KSequence.sign_at
+
+        def counting(self, positions):
+            calls[0] += 1
+            return sign_at(self, positions)
+
+        monkeypatch.setattr(KSequence, "sign_at", counting)
+        gp = kseq.greedy_partition(from_points(seq))
+        assert gp.m == 4
+        assert all(w is not None for w in gp.witnesses[:-1])
+        assert calls[0] == 0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_incremental_state_is_linear(self, dim):
+        def leaves(obj):
+            if isinstance(obj, dict):
+                return sum(leaves(k) + leaves(v) for k, v in obj.items())
+            if isinstance(obj, (list, tuple, set)):
+                return sum(leaves(v) for v in obj)
+            return 1
+
+        curve = builtin("moment", dim=dim)
+        n = 60 if dim < 3 else 24
+        gp = IncrementalGeneralPosition(dim)
+        for i in range(1, n + 1):
+            assert gp.try_add(curve.at(Fraction(i, n))) is None
+        # the points and their homogeneous rows, plus the dimension
+        assert (leaves(list(vars(gp).values()))
+                == n * dim + n * (dim + 1) + 1)
+
+
+class TestExtensionWitnesses:
+    @staticmethod
+    def _random_table(rng, k, n):
+        elements = tuple(range(n))
+        table = {sub: rng.choice((-1, 1))
+                 for sub in itertools.combinations(elements, k + 1)}
+        return from_table(k, elements, table)
+
+    def test_abstract_tables(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            k = rng.choice((1, 2, 3))
+            s = self._random_table(rng, k, rng.randint(1, 9))
+            assert kseq.greedy_partition(s) == two_scan_greedy(s)
+
+    @given(st.one_of(streams(2), streams(3)))
+    @settings(max_examples=200, deadline=None)
+    def test_geometric_sequences(self, rows):
+        seq = point_seq(rows)
+        assert (outcome(lambda q: kseq.greedy_partition(from_points(q)), seq)
+                == outcome(lambda q: two_scan_greedy(from_points(q)), seq))
+
+    def test_quintic_sample(self):
+        seq = epsilon_sample(builtin("quintic"), Fraction(1, 25)).path.seq
+        assert (kseq.greedy_partition(from_points(seq))
+                == two_scan_greedy(from_points(seq)))

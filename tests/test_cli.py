@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 
 import pytest
 from jsonschema import Draft202012Validator
@@ -328,6 +329,24 @@ class TestSample:
         assert report["error"]["type"] == "sampling"
         assert report["error"]["cell"] == 2
 
+    @pytest.mark.parametrize("text", [
+        '{"curve": "quintic", "domain": 5}',
+        '{"curve": "moment", "d": 2.5}',
+        '{"curve": "moment", "d": true}',
+        '{"curve": "dented_arc", "dents": true, "depth": "1/100"}',
+        '{"curve": "poly", "coeffs": [["0", "1"], ["0", "0", "1"]], '
+        '"domain": ["0", "1", "2"]}',
+        '{"curve": "poly", "coeffs": [["1/0"]]}',
+    ])
+    def test_curve_json_shape_is_a_parse_error(self, text, capsys,
+                                               monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code = main(["sample", "--input", "-", "--eps", "1/4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convexsplit: error:")
+
     def test_svg_written_for_planar_curves(self, run, tmp_path):
         svg = tmp_path / "q.svg"
         code, _ = run(["sample", "--curve", "quintic", "--eps", "4/11",
@@ -415,6 +434,18 @@ class TestBounds:
         assert len(c) == 3000
         for k in (1, 2, 7, 3000):
             assert c[k - 1] == _rat(c_bound(k))
+
+    def test_values_beyond_the_int_digit_limit(self, run):
+        # c(5000) has more digits than CPython converts by default
+        limit = sys.get_int_max_str_digits()
+        code, report = run(["bounds", "--k", "5000"])
+        assert code == 0
+        assert sys.get_int_max_str_digits() == limit
+        c = c_bound(5000)
+        num, den = report["result"]["c"][0].split("/")
+        assert (Decimal(num), Decimal(den)) == (Decimal(c.numerator),
+                                                Decimal(c.denominator))
+        assert len(num) > 4300
 
 
 class TestRamsey:

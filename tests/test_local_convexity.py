@@ -56,8 +56,8 @@ def pair_loop_greedy(seq: PointSeq) -> kseq.GreedyPartition:
             if nxt - start + 1 <= k:
                 end = nxt
                 continue
-            ok, sigma = kseq._extend_planar(seq, start, nxt, sigma)
-            if not ok:
+            wit, sigma = kseq._extend_planar(seq, start, nxt, sigma)
+            if wit is not None:
                 rejected = nxt
                 break
             end = nxt
