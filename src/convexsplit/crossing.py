@@ -16,7 +16,8 @@ from typing import Sequence
 
 from . import kseq
 from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq,
-                        is_general_position, span_hyperplane)
+                        _cofactors, _dots, is_general_position,
+                        span_hyperplane)
 from .ordertype import is_order_type_homogeneous
 
 
@@ -117,6 +118,13 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     hyperplane can be moved onto such a perturbation without losing
     crossings, so the scan is exhaustive; the random-hyperplane soundness
     suite in the tests guards this assumption.
+
+    The vertex sides of h(D) are the signs of c(D) . hom(i), where c(D)
+    is the integer cofactor vector of D's homogeneous rows (the
+    coefficients of span_hyperplane, up to a positive factor).  So each
+    subset costs one cofactor vector and n dot products: C(n, d) cofactor
+    vectors and n * C(n, d) dot products in all, plus 2^d perturbations
+    of n sides per subset.
     """
     seq = path.seq
     n, d = len(seq), seq.dim
@@ -126,11 +134,16 @@ def max_crossings(path: PolyPath) -> CrossingReport:
         sides = tuple((-1) ** i for i in range(n))
         return CrossingReport(
             n - 1, CrossingWitness("perturbed", tuple(range(n)), sides))
+    hom = seq._hom
     best = -1
     best_wit: CrossingWitness | None = None
     for subset in itertools.combinations(range(n), d):
-        h = span_hyperplane([seq.points[i] for i in subset])
-        sides = _vertex_sides(path, h)
+        c = _cofactors([hom[i] for i in subset])
+        if not any(c[1:]):
+            raise GeneralPositionError(
+                "affinely dependent points do not span a hyperplane",
+                range(d))
+        sides = [(v > 0) - (v < 0) for v in _dots(c, hom)]
         if any(s == 0 for i, s in enumerate(sides) if i not in subset):
             raise GeneralPositionError(
                 "extra vertex on a spanned hyperplane", subset)

@@ -2,8 +2,15 @@
 
 Every combinatorial decision in this package reduces to the sign of a
 determinant.  All of them are evaluated exactly: coordinates are
-``fractions.Fraction``, rows are cleared to integers, and determinants run
-through fraction-free Bareiss elimination, so no sign is ever rounded.
+``fractions.Fraction``, and rows are cleared to integer homogeneous rows
+(L, L*x), so no sign is ever rounded.
+
+One integer kernel carries the orientations: ``_cofactors`` maps d rows to
+the integer vector c(D) with c(D) . x = det(D + [x]) for every row x, i.e.
+the hyperplane through the d points.  It is hand-expanded for d <= 3; only
+the minors for d >= 4 run through fraction-free Bareiss elimination.  An
+exhaustive scan over (d+1)-tuples computes c(D) once per d-subset D and
+then one integer dot product per remaining point.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
@@ -84,6 +92,52 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[-1][-1]
 
 
+def _cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Integer vector c with c . x == det(rows + [x]) for every row x.
+
+    ``rows`` are d integer rows of length d+1; c lists the cofactors of the
+    missing last row, so for homogeneous point rows it is the (unscaled)
+    hyperplane through the d points, zero iff they are affinely dependent.
+    d = 1, 2, 3 are hand-expanded (d = 3 from the six 2x2 minors of the last
+    two rows); larger d takes signed Bareiss minors.
+    """
+    d = len(rows)
+    if d == 1:
+        ((a, b),) = rows
+        return (-b, a)
+    if d == 2:
+        (a, b, c), (e, f, g) = rows
+        return (b * g - c * f, c * e - a * g, a * f - b * e)
+    if d == 3:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01 = b0 * c1 - b1 * c0
+        m02 = b0 * c2 - b2 * c0
+        m03 = b0 * c3 - b3 * c0
+        m12 = b1 * c2 - b2 * c1
+        m13 = b1 * c3 - b3 * c1
+        m23 = b2 * c3 - b3 * c2
+        return (a2 * m13 - a1 * m23 - a3 * m12,
+                a0 * m23 - a2 * m03 + a3 * m02,
+                a1 * m03 - a0 * m13 - a3 * m01,
+                a0 * m12 - a1 * m02 + a2 * m01)
+    return tuple(
+        (-1) ** (d + j)
+        * _bareiss_det([row[:j] + row[j + 1:] for row in rows])
+        for j in range(d + 1))
+
+
+def _dots(c: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
+    """The dot products c . x for x in rows, unrolled for planar and
+    spatial rows."""
+    if len(c) == 3:
+        a, b, e = c
+        return [a * x + b * y + e * z for x, y, z in rows]
+    if len(c) == 4:
+        a, b, e, f = c
+        return [a * w + b * x + e * y + f * z for w, x, y, z in rows]
+    return [sum(map(mul, c, x)) for x in rows]
+
+
 def _det_sign(rows: Sequence[Sequence[int]]) -> int:
     # Hand-expanded small cases; they carry nearly all of the workload.
     n = len(rows)
@@ -94,7 +148,7 @@ def _det_sign(rows: Sequence[Sequence[int]]) -> int:
         (a, b, c), (d, e, f), (g, h, i) = rows
         v = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     else:
-        v = _bareiss_det(rows)
+        (v,) = _dots(_cofactors(rows[:-1]), rows[-1:])
     return (v > 0) - (v < 0)
 
 
@@ -310,14 +364,20 @@ def is_general_position(seq: PointSeq) -> GeneralPositionReport:
     if tri is not None:
         return GeneralPositionReport(False, tri)
     hom = seq._hom
-    for size in range(4, min(n, seq.dim + 1) + 1):
-        full = size == seq.dim + 1
+    d = seq.dim
+    for size in range(4, min(n, d) + 1):
         for idx in itertools.combinations(range(n), size):
-            if full:
-                if seq.orientation_of(idx) == 0:
-                    return GeneralPositionReport(False, idx)
-            elif _rank([hom[i] for i in idx]) < size:
+            if _rank([hom[i] for i in idx]) < size:
                 return GeneralPositionReport(False, idx)
+    if d >= 3:
+        # The (d+1)-tuples in lexicographic order, D-first: D then every
+        # later i, one cofactor vector per D.
+        for D in itertools.combinations(range(n - 1), d):
+            top = D[-1] + 1
+            vals = _dots(_cofactors([hom[j] for j in D]), hom[top:])
+            if 0 in vals:
+                return GeneralPositionReport(False,
+                                             D + (top + vals.index(0),))
     return GeneralPositionReport(True)
 
 
@@ -416,22 +476,22 @@ def span_hyperplane(pts: Sequence) -> Hyperplane:
     """The hyperplane through d affinely independent points in R^d.
 
     Sign convention: side_of(h, x) == orientation(pts + [x]) for every x.
+    Its integer coefficients (-offset, normal) are the cofactor vector
+    c(D) of the points' homogeneous rows, divided by their gcd.  Scans
+    over many subsets skip this Fraction wrapper and take _cofactors of
+    PointSeq._hom rows directly.
     """
     pts = [as_point(p) for p in pts]
     d = len(pts)
     if any(len(p) != d for p in pts):
         raise DimensionMismatchError(f"need {d} points of dimension {d}")
-    rows = [_hom_row(p) for p in pts]
-    minors = []
-    for c in range(d + 1):
-        sub = [[row[cc] for cc in range(d + 1) if cc != c] for row in rows]
-        minors.append(_bareiss_det(sub))
-    normal = tuple((-1) ** (d + c) * minors[c] for c in range(1, d + 1))
+    c = _cofactors([_hom_row(p) for p in pts])
+    normal = c[1:]
     if all(v == 0 for v in normal):
         raise GeneralPositionError(
             "affinely dependent points do not span a hyperplane",
             range(d))
-    offset = (-1) ** (d + 1) * minors[0]
+    offset = -c[0]
     g = math.gcd(*normal, offset)
     return Hyperplane(tuple(Fraction(v // g) for v in normal),
                       Fraction(offset // g))

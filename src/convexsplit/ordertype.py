@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactgeom import GeneralPositionError, PointSeq
+from .exactgeom import GeneralPositionError, PointSeq, _cofactors, _dots
 
 
 @dataclass(frozen=True)
@@ -55,9 +55,12 @@ def tuple_sign(seq: PointSeq, idx: Sequence[int]) -> int:
         raise IndexError("index out of range")
     s = seq.orientation_of(idx)
     if s == 0:
-        raise GeneralPositionError(
-            f"affinely dependent tuple {idx}", idx)
+        _raise_dependent(idx)
     return s
+
+
+def _raise_dependent(idx: tuple[int, ...]):
+    raise GeneralPositionError(f"affinely dependent tuple {idx}", idx)
 
 
 def convex_chain_extends(seq: PointSeq, start: int, last: int, q: int,
@@ -132,6 +135,9 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     lexicographic order: the witness, when present, is the
     lexicographically least pair of opposite-sign tuples, and a zero
     orientation met before any such pair raises GeneralPositionError.
+    The scan runs D-first, in the same order: each d-subset D of the first
+    n-1 points, then every later point i, at the cost of C(n-1, d)
+    cofactor vectors and C(n, d+1) integer dot products.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
@@ -140,28 +146,61 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
         sigma = _local_sign(seq)
         if sigma is not None:
             return HomogeneityReport(True, sign=sigma)
-    first = None
+    hom = seq._hom
     sign0 = 0
-    for idx in itertools.combinations(range(n), d + 1):
-        s = tuple_sign(seq, idx)
-        if first is None:
-            first, sign0 = idx, s
-        elif s != sign0:
-            return HomogeneityReport(False, witness=(first, idx))
+    for D in itertools.combinations(range(n - 1), d):
+        top = D[-1] + 1
+        vals = _dots(_cofactors([hom[j] for j in D]), hom[top:])
+        if sign0 and (min(vals) if sign0 > 0 else -max(vals)) > 0:
+            continue
+        for i, v in enumerate(vals, top):
+            if not v:
+                _raise_dependent(D + (i,))
+            s = 1 if v > 0 else -1
+            if not sign0:
+                sign0 = s
+            elif s != sign0:
+                return HomogeneityReport(
+                    False, witness=(tuple(range(d + 1)), D + (i,)))
     return HomogeneityReport(True, sign=sign0)
 
 
 def sign_sequence(seq: PointSeq, subset: Sequence[int]) -> SignSeq:
-    """Sign sequence of the d-subset ``subset`` over the remaining points."""
+    """Sign sequence of the d-subset ``subset`` over the remaining points.
+
+    Entry i is the orientation of the sorted tuple D + {i}, D = sorted
+    ``subset``.  With c = c(D) the cofactor vector of D's rows, that is
+    (-1)^#{j in D : j > i} * sign(c . hom(i)): moving row i from last
+    place to its sorted place takes one swap per member of D above it.
+    So the sequence costs one cofactor vector and n - d integer dot
+    products, and no sign cache.  A repeated index raises ValueError, one
+    out of range IndexError, and the first zero entry GeneralPositionError
+    with the sorted tuple as witness.
+    """
     subset = tuple(subset)
-    if len(subset) != seq.dim:
-        raise ValueError(f"need a {seq.dim}-subset, got {len(subset)}")
+    d, n = seq.dim, len(seq)
+    if len(subset) != d:
+        raise ValueError(f"need a {d}-subset, got {len(subset)}")
     members = set(subset)
+    if members.issuperset(range(n)):
+        return SignSeq(subset, ())
+    D = sorted(subset)
+    if len(members) < d:
+        raise ValueError("indices must be strictly increasing")
+    if D[0] < 0 or D[-1] >= n:
+        raise IndexError("index out of range")
+    hom = seq._hom
+    vals = _dots(_cofactors([hom[j] for j in D]), hom)
     entries = []
-    for i in range(len(seq)):
-        if i in members:
-            continue
-        entries.append(tuple_sign(seq, tuple(sorted(subset + (i,)))))
+    parity = -1 if d % 2 else 1
+    lo = 0
+    for hi in D + [n]:
+        seg = vals[lo:hi]
+        if 0 in seg:
+            _raise_dependent(tuple(sorted(D + [lo + seg.index(0)])))
+        entries += [parity if v > 0 else -parity for v in seg]
+        parity = -parity
+        lo = hi + 1
     return SignSeq(subset, tuple(entries))
 
 
@@ -177,7 +216,11 @@ def is_flip(seq: PointSeq) -> FlipReport:
     """True iff every d-subset's sign sequence has at most one sign change.
 
     Exhaustive over all C(n, d) subsets; the reported violation is the
-    lexicographically least one.
+    lexicographically least one.  Each subset D costs one cofactor vector
+    c(D) and n - d dot products (see sign_sequence), so C(n, d) cofactor
+    vectors and about n * C(n, d) dot products in all; every (d+1)-tuple
+    is evaluated d+1 times, once from each of its d-subsets, which is
+    cheaper than storing it.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:

@@ -188,6 +188,23 @@ def super_extract(seq: PointSeq) -> ExtractionTrace:
     at least a 1/ceil(c(k)) fraction, so the final length is at least
     n / prod_k ceil(c(k)) over k = 1..d-1.
     """
+    _require_projections_in_general_position(seq)
+    rep = is_order_type_homogeneous(seq)
+    if not rep:
+        raise ValueError(
+            f"input is not order-type homogeneous; witness {rep.witness}")
+    return _extract_stages(seq)
+
+
+def _super_extract(seq: PointSeq) -> ExtractionTrace:
+    """super_extract for input already known to be order-type homogeneous
+    (the ramsey command has just scanned it, or built it homogeneous), so
+    only the homogeneity scan is skipped."""
+    _require_projections_in_general_position(seq)
+    return _extract_stages(seq)
+
+
+def _require_projections_in_general_position(seq: PointSeq) -> None:
     d = seq.dim
     if len(seq) < d + 1:
         raise ValueError("need at least dim+1 points")
@@ -195,10 +212,10 @@ def super_extract(seq: PointSeq) -> ExtractionTrace:
         gp = is_general_position(project(seq, k))
         if not gp:
             raise SuperGeneralPositionError(k, gp.witness)
-    rep = is_order_type_homogeneous(seq)
-    if not rep:
-        raise ValueError(
-            f"input is not order-type homogeneous; witness {rep.witness}")
+
+
+def _extract_stages(seq: PointSeq) -> ExtractionTrace:
+    d = seq.dim
     current = seq
     stages = []
     for i in range(2, d + 1):

@@ -3,9 +3,10 @@ must reproduce its stored report byte for byte, ``timing`` excluded.
 
 The reports pin samples, cuts, blocks, signs, witnesses and error
 envelopes across refactors of the exact kernels.  Regenerate them only
-when a report is meant to change:
+when a report is meant to change, naming the cases to rewrite (no names
+rewrites them all):
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [NAME ...]
 """
 
 import io
@@ -46,7 +47,13 @@ def test_report_matches_golden(case):
 
 
 if __name__ == "__main__":
+    names = set(sys.argv[1:])
+    unknown = names - {c["name"] for c in CASES}
+    if unknown:
+        sys.exit(f"no such golden case: {', '.join(sorted(unknown))}")
     for case in CASES:
+        if names and case["name"] not in names:
+            continue
         (GOLDEN / f"{case['name']}.json").write_text(render(case),
                                                     encoding="utf-8")
         print(case["name"])
