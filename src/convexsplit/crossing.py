@@ -48,11 +48,14 @@ class PolyPath:
         """Path on vertices already certified in general position, built
         without re-running is_general_position.
 
-        Only epsilon_sample calls this, with the points that
-        IncrementalGeneralPosition accepted.  Every subset of <= dim+1 of
+        Two callers hold such a certificate, and both pass at least 2
+        points.  epsilon_sample passes the points that
+        IncrementalGeneralPosition accepted: every subset of <= dim+1 of
         them was checked when its last point joined, which covers each
-        subset that is_general_position checks, and the sampler always
-        keeps at least 2 points.
+        subset that is_general_position checks.  ramsey's extraction
+        stages pass contiguous pieces of projections whose whole was just
+        checked, and a subsequence of a general-position sequence is in
+        general position.
         """
         path = object.__new__(cls)
         object.__setattr__(path, "seq", seq)

@@ -10,7 +10,9 @@ the integer vector c(D) with c(D) . x = det(D + [x]) for every row x, i.e.
 the hyperplane through the d points.  It is hand-expanded for d <= 3; only
 the minors for d >= 4 run through fraction-free Bareiss elimination.  An
 exhaustive scan over (d+1)-tuples computes c(D) once per d-subset D and
-then one integer dot product per remaining point.
+then one integer dot product per remaining point.  When all those signs
+should agree, ``_alternating`` proves it from O(n^(d-1)) determinants
+instead, by recursing on integer quotients of the rows.
 """
 
 from __future__ import annotations
@@ -150,6 +152,103 @@ def _det_sign(rows: Sequence[Sequence[int]]) -> int:
     else:
         (v,) = _dots(_cofactors(rows[:-1]), rows[-1:])
     return (v > 0) - (v < 0)
+
+
+def _quotient(rows: Sequence[Sequence[int]], v: Sequence[int]
+              ) -> tuple[list[tuple[int, ...]], int]:
+    """``rows`` modulo the nonzero integer vector v, one coordinate shorter.
+
+    With k the first nonzero coordinate of v and a = v[k], each row w maps
+    to a*w - w[k]*v with coordinate k dropped.  For r-vectors,
+    det(v, w_1, ..., w_{r-1}) = (-1)^k * a^(2-r) * det(w'_1, ..., w'_{r-1}):
+    scale rows 1..r-1 by a, subtract w[k]*v from each, which zeroes column
+    k below v, and expand along column k.  Returns the mapped rows and
+    eps = (-1)^k * sign(a)^r, so sign det(v, W) = eps * sign det(W').
+    """
+    k = next(j for j, c in enumerate(v) if c)
+    a = v[k]
+    eps = -1 if k % 2 else 1
+    if a < 0 and len(v) % 2:
+        eps = -eps
+    rest = v[:k] + v[k + 1:]
+    return [tuple(a * x - w[k] * y for x, y in zip(w[:k] + w[k + 1:], rest))
+            for w in rows], eps
+
+
+def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
+    """Is the integer vector configuration sigma-alternating?
+
+    ``rows`` are m vectors v_1..v_m in Z^r (r >= 2).  They are
+    sigma-alternating when det(v_{j_1}, ..., v_{j_r}) has sign sigma for
+    every j_1 < ... < j_r.  Returns sigma when they are, else 0.  With
+    sigma = 0 the first r rows fix it (then at least r rows are needed).
+    A point sequence in R^d is sigma-homogeneous iff its homogeneous rows
+    (r = d + 1) are sigma-alternating: the configuration of the cyclic
+    polytope (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
+    *Oriented Matroids*).  Every determinant is one _det_sign call.
+
+    r = 2, with 2m - 3 determinants: det(v_1, v_j) = sigma for all j > 1
+    and det(v_j, v_{j+1}) = sigma for all j > 1.  Proof (sigma = +1; swap
+    the coordinates for -1): measure angles from v_1.  The first family
+    puts every later v_j at an angle in (0, pi).  A step from v_j to
+    v_{j+1} then turns by an angle in (-pi, pi), and det > 0 makes it
+    positive, so the angles rise inside (0, pi) and every pair in order
+    turns left.
+
+    r = 3, with about 3m determinants: det(v_1, v_2, v_j),
+    det(v_1, v_j, v_{j+1}) and det(v_j, v_{j+1}, v_{j+2}) all equal
+    sigma.  Proof: by _quotient, det(v_1, u, w) is eps_1 times the rank-2
+    determinant of u and w mod v_1, so the first two families are the
+    r = 2 test on the rows mod v_1, and those lie at angles in [0, pi)
+    from the first of them.  Hence a linear functional f, vanishing on
+    v_1, is positive on v_2..v_m; adding a small multiple of one positive
+    on v_1 gives F > 0 on every v_j.  Scaling each v_j by 1/F(v_j) > 0
+    keeps every sign and puts the rows on the affine plane F = 1, where
+    the determinant is a fixed nonzero multiple of the planar
+    orientation.  There the three families are the base triple and, for
+    each later point, the three signs of ordertype.convex_chain_extends
+    against the prefix before it, whose proof gives every triple by
+    induction.
+
+    r >= 4, with O(m^(r-2)) determinants: every r-subset has a least
+    member v_i, and by _quotient its determinant is eps_i times that of
+    the other r-1 rows mod v_i.  So V is sigma-alternating iff, for each
+    i <= m - r + 1, the rows after v_i mod v_i are
+    (sigma * eps_i)-alternating with rank r - 1, and v_i != 0.  Entries
+    grow by about one row's size per level.
+    """
+    m = len(rows)
+    if not m or m < len(rows[0]):
+        return sigma
+    r = len(rows[0])
+    det = _det_sign
+    if r == 2:
+        a = rows[0]
+        sigma = sigma or det((a, rows[1]))
+        ok = (sigma
+              and all(det((a, w)) == sigma for w in rows[1:])
+              and all(det(pair) == sigma
+                      for pair in zip(rows[1:], rows[2:])))
+        return sigma if ok else 0
+    if r == 3:
+        a, b = rows[0], rows[1]
+        sigma = sigma or det((a, b, rows[2]))
+        ok = (sigma
+              and all(det((a, b, w)) == sigma for w in rows[2:])
+              and all(det((a, u, w)) == sigma
+                      for u, w in zip(rows[2:], rows[3:]))
+              and all(det(triple) == sigma
+                      for triple in zip(rows[1:], rows[2:], rows[3:])))
+        return sigma if ok else 0
+    for i in range(m - r + 1):
+        if not any(rows[i]):
+            return 0
+        sub, eps = _quotient(rows[i + 1:], rows[i])
+        s = _alternating(sub, sigma * eps)
+        if not s:
+            return 0
+        sigma = s * eps
+    return sigma
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:

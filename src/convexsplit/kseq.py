@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactgeom import GeneralPositionError, PointSeq
+from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
+                        _quotient)
 from .ordertype import convex_chain_extends, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
@@ -42,7 +43,7 @@ class KSequence:
         self._sign_fn = sign_fn
         self._cache: dict[tuple[int, ...], int] = {}
         # set by from_points when positions align with a PointSeq; lets
-        # greedy_partition batch planar orientation tests
+        # _extend decide geometric blocks from local determinants
         self._points: PointSeq | None = None
 
     def __len__(self) -> int:
@@ -176,6 +177,16 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
     two-point block, else the three signs of convex_chain_extends.  The
     pair loop of _extend_planar runs only when that test fails, so it
     builds the same rejection or GeneralPositionError as the full scan.
+
+    Geometric blocks in R^k, k >= 3, are accepted when the block's rows
+    modulo hom(nxt) are alternating (exactgeom._alternating): with eps
+    from exactgeom._quotient, sign(D + nxt) = (-1)^k * eps * det(D mod
+    hom(nxt)), as moving hom(nxt) to the front takes k swaps.  That is
+    3b determinants for a block of b points in R^3, and O(b^(k-2)) in
+    general, where the subset loop below reads C(b, k) orientations.  An
+    open sigma is the sign of the first subset, as in the loop.  The loop
+    runs only when the test fails, to build the rejection or the
+    GeneralPositionError.
     """
     if s.k == 2 and s._points is not None:
         seq = s._points
@@ -186,6 +197,13 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
         elif convex_chain_extends(seq, start, nxt - 1, nxt, sigma):
             return None, sigma
         return _extend_planar(seq, start, nxt, sigma)
+    if s.k >= 3 and s._points is not None:
+        hom = s._points._hom
+        rows, eps = _quotient(hom[start:nxt], hom[nxt])
+        parity = -eps if s.k % 2 else eps
+        t = _alternating(rows, sigma * parity if sigma else 0)
+        if t:
+            return None, t * parity
     for comb in itertools.combinations(range(start, nxt), s.k):
         t = s.sign_at(comb + (nxt,))
         if sigma is None:
@@ -199,11 +217,12 @@ def greedy_partition(s: KSequence) -> GreedyPartition:
     """Left-to-right maximal partition into monochromatic blocks.
 
     Each candidate element is tested against the (k+1)-subsets it forms
-    with the current block.  Geometric planar sequences need O(1)
-    orientations per accepted element (see _extend), so O(n) over a
-    convex path; other sequences check all C(b, k) new subsets for a
-    block of b elements.  A block's witness is the subset on which _extend
-    rejected its successor, so no second scan builds it.
+    with the current block.  Geometric sequences need O(1) orientations
+    per accepted element in the plane, so O(n) over a convex path, and
+    O(b^(k-2)) determinants in R^k for k >= 3, so O(n^2) over a convex
+    path in R^3 (see _extend); other sequences check all C(b, k) new
+    subsets for a block of b elements.  A block's witness is the subset
+    on which _extend rejected its successor, so no second scan builds it.
     """
     n = len(s)
     if n < 1:

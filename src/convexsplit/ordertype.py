@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactgeom import GeneralPositionError, PointSeq, _cofactors, _dots
+from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
+                        _cofactors, _dots)
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,10 @@ def convex_chain_extends(seq: PointSeq, start: int, last: int, q: int,
     counterclockwise, so every triple of the extended sequence is
     positive.
 
-    Indices must satisfy start + 2 <= last < q.  No analogue is known for
-    d >= 3, where callers keep the exhaustive scan.
+    Indices must satisfy start + 2 <= last < q.  In R^d for d >= 3 the
+    analogue works on homogeneous rows: exactgeom._alternating decides a
+    whole sequence from O(n^(d-1)) determinants, and a block extended by
+    q from its rows modulo hom(q) (see kseq._extend).
     """
     o = seq.orientation_of
     return (o((last - 1, last, q)) == sigma
@@ -105,14 +108,19 @@ def convex_chain_extends(seq: PointSeq, start: int, last: int, q: int,
 
 
 def _local_sign(seq: PointSeq) -> int | None:
-    """Common sign of a d <= 2 sequence from O(n) local orientations.
+    """Common sign of a sequence from local determinants.
 
     d = 1: all consecutive pairs share a sign iff the coordinates are
     strictly monotone, iff every pair does.  d = 2: the first triple fixes
     sigma and each later point must pass convex_chain_extends against the
-    prefix before it.  Returns None when some local sign is 0 or -sigma;
-    the sequence is then either degenerate or not homogeneous.
+    prefix before it; O(n) orientations.  d >= 3: the homogeneous rows
+    must be sigma-alternating (exactgeom._alternating), with sigma the
+    sign of the first tuple; O(n^(d-1)) determinants, 3 * C(n, 2) at most
+    in R^3.  Returns None when some local sign is 0 or -sigma; the
+    sequence is then either degenerate or not homogeneous.
     """
+    if seq.dim >= 3:
+        return _alternating(seq._hom) or None
     n, o = len(seq), seq.orientation_of
     if seq.dim == 1:
         sigma = o((0, 1))
@@ -129,10 +137,10 @@ def _local_sign(seq: PointSeq) -> int | None:
 def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     """Common orientation sign of all (d+1)-tuples, if there is one.
 
-    For d <= 2 a local test settles homogeneous input with at most 3n
-    orientations (see convex_chain_extends).  Otherwise, and whenever a
-    local sign is 0 or opposite, all C(n, d+1) tuples are scanned in
-    lexicographic order: the witness, when present, is the
+    A local test settles homogeneous input (see _local_sign): at most 3n
+    orientations for d <= 2, and O(n^(d-1)) determinants for d >= 3.
+    Whenever a local sign is 0 or opposite, all C(n, d+1) tuples are
+    scanned in lexicographic order: the witness, when present, is the
     lexicographically least pair of opposite-sign tuples, and a zero
     orientation met before any such pair raises GeneralPositionError.
     The scan runs D-first, in the same order: each d-subset D of the first
@@ -142,10 +150,9 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    if d <= 2:
-        sigma = _local_sign(seq)
-        if sigma is not None:
-            return HomogeneityReport(True, sign=sigma)
+    sigma = _local_sign(seq)
+    if sigma is not None:
+        return HomogeneityReport(True, sign=sigma)
     hom = seq._hom
     sign0 = 0
     for D in itertools.combinations(range(n - 1), d):

@@ -188,7 +188,7 @@ def super_extract(seq: PointSeq) -> ExtractionTrace:
     at least a 1/ceil(c(k)) fraction, so the final length is at least
     n / prod_k ceil(c(k)) over k = 1..d-1.
     """
-    _require_projections_in_general_position(seq)
+    _require_projections_in_general_position(seq, seq.dim)
     rep = is_order_type_homogeneous(seq)
     if not rep:
         raise ValueError(
@@ -198,30 +198,42 @@ def super_extract(seq: PointSeq) -> ExtractionTrace:
 
 def _super_extract(seq: PointSeq) -> ExtractionTrace:
     """super_extract for input already known to be order-type homogeneous
-    (the ramsey command has just scanned it, or built it homogeneous), so
-    only the homogeneity scan is skipped."""
-    _require_projections_in_general_position(seq)
+    (the ramsey command has just scanned it, or built it homogeneous).
+
+    The homogeneity scan is skipped, and so is the general-position check
+    of the full-dimensional input: every (d+1)-tuple has the common sign,
+    which is nonzero, and with n >= d+1 points every smaller subset lies
+    in one of them, so it is affinely independent.
+    """
+    _require_projections_in_general_position(seq, seq.dim - 1)
     return _extract_stages(seq)
 
 
-def _require_projections_in_general_position(seq: PointSeq) -> None:
-    d = seq.dim
-    if len(seq) < d + 1:
+def _require_projections_in_general_position(seq: PointSeq,
+                                             top: int) -> None:
+    """n >= dim+1, and the projections to k = 1..top coordinates are in
+    general position, checked in that order."""
+    if len(seq) < seq.dim + 1:
         raise ValueError("need at least dim+1 points")
-    for k in range(1, d + 1):
+    for k in range(1, top + 1):
         gp = is_general_position(project(seq, k))
         if not gp:
             raise SuperGeneralPositionError(k, gp.witness)
 
 
 def _extract_stages(seq: PointSeq) -> ExtractionTrace:
+    """The projection stages of super_extract.  Each stage projects a
+    contiguous piece of ``seq`` to k <= dim-1 coordinates; the projection
+    of all of ``seq`` was just checked, and a subsequence of a
+    general-position sequence is in general position, so the stage paths
+    are built without a second check."""
     d = seq.dim
     current = seq
     stages = []
     for i in range(2, d + 1):
         k = d - i + 1
         proj = project(current, k)
-        dec = decompose(PolyPath(proj))
+        dec = decompose(PolyPath._certified(proj))
         chosen = max(dec.pieces, key=lambda pr: (pr[1] - pr[0], -pr[0]))
         lo, hi = chosen
         current = current.subsequence(range(lo, hi + 1))
