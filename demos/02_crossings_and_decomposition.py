@@ -1,9 +1,10 @@
 """Exact crossing numbers and greedy convex decomposition of paths.
 
 A path is convex exactly when no hyperplane crosses it more than d times.
-The oracle below finds the worst hyperplane by brute force over vertex
-subsets, so the crossing number it reports is exact, with a witness you
-can re-evaluate.
+The oracle below finds the worst hyperplane among all those spanned by
+vertices and their perturbations, sweeping each pencil of them once, so
+the crossing number it reports is exact, with a witness you can
+re-evaluate.
 """
 
 from fractions import Fraction

@@ -3,15 +3,24 @@
 A polygonal path in R^d is k-crossing when every hyperplane (excluding the
 ones containing an edge) meets it in at most k parameter values; convex
 means d-crossing, which for vertex sequences is equivalent to order-type
-homogeneity.  ``max_crossings`` is the brute-force oracle over all
-hyperplanes spanned by d vertices and their generic perturbations;
-``decompose`` is the fast greedy pipeline over orientation signs.
+homogeneity.  ``decompose`` is the fast greedy pipeline over orientation
+signs.
+
+``max_crossings`` is exact over all hyperplanes spanned by d vertices
+and their generic perturbations, but it does not visit them one by one.
+The hyperplanes through d - 1 vertices F form a pencil, which maps to
+the lines through the origin of a plane.  Turning that line once moves
+the vertices across it one at a time, and a running count of crossed
+edges gives every hyperplane of the pencil, perturbations included, in
+O(1) each (see _pencil).  That is O(n^(d-1) * (n log n + 2^d * d))
+arithmetic operations, against O(2^d * n^(d+1)) for visiting every
+d-subset with its 2^d perturbations.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import kseq
@@ -31,9 +40,14 @@ class EdgeContainedError(ValueError):
 
 @dataclass(frozen=True)
 class PolyPath:
-    """Polygonal path on a general-position vertex sequence (n >= 2)."""
+    """Polygonal path on a general-position vertex sequence (n >= 2).
+
+    ``_sign`` is sigma when the general-position check found the vertices
+    sigma-homogeneous, else 0.
+    """
 
     seq: PointSeq
+    _sign: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.seq) < 2:
@@ -42,6 +56,7 @@ class PolyPath:
         if not report:
             raise GeneralPositionError(
                 "path vertices are not in general position", report.witness)
+        object.__setattr__(self, "_sign", report.sign)
 
     @classmethod
     def _certified(cls, seq: PointSeq) -> "PolyPath":
@@ -59,6 +74,7 @@ class PolyPath:
         """
         path = object.__new__(cls)
         object.__setattr__(path, "seq", seq)
+        object.__setattr__(path, "_sign", 0)
         return path
 
     @property
@@ -111,23 +127,174 @@ def _strict_flips(sides: Sequence[int]) -> int:
     return sum(1 for a, b in zip(sides, sides[1:]) if a != b)
 
 
+def _keys(sides: list[int], subset: tuple[int, ...]):
+    """(count, witness) for each hyperplane of the subset D, in witness
+    order: h(D) itself when it contains no edge, then the 2^d
+    perturbations, their sides in product order.  ``sides`` are the
+    vertex sides of h(D)."""
+    if not any(a == 0 and b == 0 for a, b in zip(sides, sides[1:])):
+        yield (sides.count(0)
+               + sum(1 for a, b in zip(sides, sides[1:]) if a * b < 0),
+               CrossingWitness("direct", subset))
+    for assigned in itertools.product((-1, 1), repeat=len(subset)):
+        pert = list(sides)
+        for i, s in zip(subset, assigned):
+            pert[i] = s
+        yield (_strict_flips(pert),
+               CrossingWitness("perturbed", subset, assigned))
+
+
+def _subset_error(hom, d: int) -> GeneralPositionError:
+    """The error of the first d-subset D, in lexicographic order, that is
+    affinely dependent or has another vertex on h(D).  Called only once
+    some (d+1)-subset S is known to be dependent, so such a D exists:
+    any d members of S are dependent, or the last one lies on their
+    hyperplane."""
+    for subset in itertools.combinations(range(len(hom)), d):
+        c = _cofactors([hom[i] for i in subset])
+        if not any(c[1:]):
+            return GeneralPositionError(
+                "affinely dependent points do not span a hyperplane",
+                range(d))
+        vals = _dots(c, hom)
+        if any(v == 0 for i, v in enumerate(vals) if i not in subset):
+            return GeneralPositionError(
+                "extra vertex on a spanned hyperplane", subset)
+    raise AssertionError("no dependent subset")
+
+
+def _pencil(hom, F: tuple[int, ...]):
+    """Best count of every D = F + (p,) with p > max F, from one sweep of
+    the pencil of hyperplanes through the vertices F.
+
+    Returns (counts, q), or None on meeting a dependent (d+1)-subset of
+    vertices.  counts[p] is the best count over D's keys (see _keys).
+    q maps the vertices to the plane, and the vertex sides of h(D) are
+    sign det(q(p), q(y)).
+
+    Pencil: let B(x, y) = det[F; x; y], and a, b the first two vertices
+    outside F.  Then q(x) = (B(x, b), -s B(x, a)) with s = sign B(a, b)
+    has det(q(x), q(y)) = |B(a, b)| B(x, y).  This is the 2x2 identity
+    in the plane of rows modulo F, where B is a fixed multiple of the
+    2x2 determinant.  Two _cofactors vectors give every B(a, x) and
+    B(b, x).
+
+    Sweep: scale each q(x) by a sign t(x) into the half-open upper
+    half-plane and sort the vertices by angle.  A line through the origin
+    turning from angle 0 to pi passes each q(x) once.  Up to one sign
+    shared by all y, y's side of the line through q(p) is t(y), negated
+    once the line has passed q(y).  So each event moves one vertex
+    across the hyperplane.
+    That changes two edges, and the count of crossed edges away from F
+    updates in O(1).
+
+    Counts at the event of p: the edges away from D cross the running
+    count less p's crossed edges, call it R.  A perturbation scores R
+    plus the crossings of the edges touching D.  These split over the
+    maximal runs i..j of consecutive members of D, and ``edges`` gives
+    the best for one run: the sides along (l, run, r) change at most
+    j - i + 2 times, an even number of times iff l = r, so every edge
+    crosses unless both neighbours exist and l r = (-1)^(j-i+1).  The
+    runs of F are summed once and again only when a neighbour of one of
+    them moves.  When p = max F + 1, p extends the last run of F.  h(D)
+    itself scores R + d, and only when no edge lies in D.  Then each
+    member of D is a run of its own, whose best crosses at least one
+    edge, so h(D) never scores more than the best perturbation; it only
+    comes first on a tie, which _keys settles.
+    """
+    n = len(hom)
+    rows = [hom[i] for i in F]
+    rest = [x for x in range(n) if x not in F]
+    a, b = rest[0], rest[1]
+    ua = _dots(_cofactors(rows + [hom[a]]), hom)
+    ub = _dots(_cofactors(rows + [hom[b]]), hom)
+    s = (ua[b] > 0) - (ua[b] < 0)
+    if not s:
+        return None
+    q = [(-v, s * w) for v, w in zip(ub, ua)]
+    # t[x + 1] is t(x), and 0 on F and past both ends.  q(a) = (B(a, b), 0)
+    # lies at angle 0 once scaled by t(a) = s.  Every other q(x) has
+    # v = s B(a, x) != 0 unless F + {a, x} is dependent; scaled into
+    # v > 0, its angle rises with -u/v.  Two distinct ratios with v <= V
+    # differ by at least 1/V^2, so floor(-u 4^k / v) with 2^k > V is an
+    # exact integer key.
+    t = [0] * (n + 2)
+    t[a + 1] = s
+    keyed = []
+    for x in rest[1:]:
+        u, v = q[x]
+        if not v:
+            return None
+        t[x + 1] = 1 if v > 0 else -1
+        keyed.append((x, u * t[x + 1], v * t[x + 1]))
+    shift = 2 * max(v for _, _, v in keyed).bit_length()
+    keys = sorted(((-u << shift) // v, x) for x, u, v in keyed)
+    if any(k0 == k1 for (k0, _), (k1, _) in zip(keys, keys[1:])):
+        return None
+
+    def edges(i: int, j: int) -> int:
+        l, r = t[i], t[j + 2]
+        return j - i + (l != 0) + (r != 0) - (l * r == (-1) ** (j - i + 1))
+
+    runs: list[list[int]] = []
+    for f in F:
+        if runs and runs[-1][1] == f - 1:
+            runs[-1][1] = f
+        else:
+            runs.append([f, f])
+    borders = {v for i, j in runs for v in (i - 1, j + 1)}
+    m = F[-1] if F else -1
+    on_f = sum(edges(i, j) for i, j in runs)
+    crossed = sum(1 for y in range(1, n) if t[y] * t[y + 1] < 0)
+    counts = [-1] * n
+    for p in [a] + [x for _, x in keys]:
+        tl, tp, tr = t[p], t[p + 1], t[p + 2]
+        if p > m:
+            away = crossed - (tl * tp < 0) - (tp * tr < 0)
+            if F and p == m + 1:
+                i = runs[-1][0]
+                counts[p] = away + on_f - edges(i, m) + edges(i, p)
+            else:
+                counts[p] = away + on_f + edges(p, p)
+        t[p + 1] = tp = -tp
+        crossed -= tp * (tl + tr)
+        if p in borders:
+            on_f = sum(edges(i, j) for i, j in runs)
+    return counts, q
+
+
 def max_crossings(path: PolyPath) -> CrossingReport:
     """Maximum of crossings_with over all legal hyperplanes.
 
-    Enumerates every d-subset D of vertices: the spanned hyperplane h(D)
-    itself (when it contains no edge) and all 2^d generic perturbations of
-    it, where D's vertices are pushed to prescribed sides and the count is
-    the number of adjacent strict sign changes.  A crossing-maximal generic
-    hyperplane can be moved onto such a perturbation without losing
-    crossings, so the scan is exhaustive; the random-hyperplane soundness
-    suite in the tests guards this assumption.
+    Every d-subset D of vertices gives keys: the spanned hyperplane h(D)
+    itself (when it contains no edge) and all 2^d generic perturbations
+    of it, where D's vertices are pushed to prescribed sides and the
+    count is the number of adjacent strict sign changes.  A
+    crossing-maximal generic hyperplane can be moved onto such a
+    perturbation without losing crossings, so the keys are exhaustive;
+    the random-hyperplane soundness suite in the tests guards this
+    assumption.  The witness is the first key reaching the maximum, D in
+    lexicographic order and then the order of _keys.
 
-    The vertex sides of h(D) are the signs of c(D) . hom(i), where c(D)
-    is the integer cofactor vector of D's homogeneous rows (the
-    coefficients of span_hyperplane, up to a positive factor).  So each
-    subset costs one cofactor vector and n dot products: C(n, d) cofactor
-    vectors and n * C(n, d) dot products in all, plus 2^d perturbations
-    of n sides per subset.
+    The keys are not enumerated.  Each D is F + (p,) with p = max D, and
+    the hyperplanes through a (d-1)-subset F form a pencil.  _pencil
+    sweeps it once and gives the best count of every such D, in O(1)
+    after sorting; the proof is in its docstring.  Scanning p upwards for
+    each F in lexicographic order visits the D in lexicographic order.
+    So the witness is fixed by re-reading the keys of a D only when it
+    beats every earlier one: at most once per F, and at most n + 1 times
+    in all, as the count lies in 0..n.
+
+    Cost: C(n-1, d-1) pencils, each with 2 cofactor vectors, 2n dot
+    products, a sort and an O(n) sweep, plus 2^d + 1 keys of length n
+    per witness, so O(n^(d-1) * (n log n + 2^d * d)) arithmetic
+    operations.  A scan over subsets takes C(n, d) cofactor vectors and
+    2^d side patterns of length n for each: O(2^d * n^(d+1)).
+
+    A path from PolyPath is in general position.  On a dependent
+    (d+1)-subset, which only a PolyPath._certified path can hold, the
+    sweep stops and the lexicographic scan over d-subsets raises its
+    GeneralPositionError.
     """
     seq = path.seq
     n, d = len(seq), seq.dim
@@ -140,30 +307,19 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     hom = seq._hom
     best = -1
     best_wit: CrossingWitness | None = None
-    for subset in itertools.combinations(range(n), d):
-        c = _cofactors([hom[i] for i in subset])
-        if not any(c[1:]):
-            raise GeneralPositionError(
-                "affinely dependent points do not span a hyperplane",
-                range(d))
-        sides = [(v > 0) - (v < 0) for v in _dots(c, hom)]
-        if any(s == 0 for i, s in enumerate(sides) if i not in subset):
-            raise GeneralPositionError(
-                "extra vertex on a spanned hyperplane", subset)
-        if not any(a == 0 and b == 0 for a, b in zip(sides, sides[1:])):
-            count = sides.count(0) + sum(
-                1 for a, b in zip(sides, sides[1:]) if a * b < 0)
-            if count > best:
-                best = count
-                best_wit = CrossingWitness("direct", subset)
-        for assigned in itertools.product((-1, 1), repeat=d):
-            pert = list(sides)
-            for i, s in zip(subset, assigned):
-                pert[i] = s
-            count = _strict_flips(pert)
-            if count > best:
-                best = count
-                best_wit = CrossingWitness("perturbed", subset, assigned)
+    for F in itertools.combinations(range(n - 1), d - 1):
+        pencil = _pencil(hom, F)
+        if pencil is None:
+            raise _subset_error(hom, d)
+        counts, q = pencil
+        top = max(counts)
+        if top > best:
+            p = counts.index(top)
+            u, v = q[p]
+            sides = [(c > 0) - (c < 0) for c in (u * y - v * x for x, y in q)]
+            best = top
+            best_wit = next(wit for count, wit in _keys(sides, F + (p,))
+                            if count == top)
     return CrossingReport(best, best_wit)
 
 
@@ -209,7 +365,13 @@ def decompose(path: PolyPath) -> ConvexDecomposition:
     """Greedy minimal subdivision of the path into convex pieces.
 
     Piece count is minimal among contiguous one-point-overlap subdivisions
-    because convexity of a contiguous run is hereditary.
+    because convexity of a contiguous run is hereditary.  A path whose
+    vertices are known sigma-homogeneous is the one block greedy would
+    close, with sign sigma.
     """
+    if path._sign:
+        last = len(path.seq) - 1
+        gp = kseq.GreedyPartition(((0, last),), (path._sign,), (None,))
+        return ConvexDecomposition(gp.blocks, gp)
     gp = kseq.greedy_partition(kseq.from_points(path.seq))
     return ConvexDecomposition(gp.blocks, gp)

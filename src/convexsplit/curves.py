@@ -221,8 +221,8 @@ class CurveDecomposition:
 
     ``cuts`` are the overlap parameters between consecutive pieces;
     ``intervals`` cover the whole domain, sharing endpoints at the cuts.
-    ``certified_max_crossings`` is filled only when the brute-force oracle
-    was run on the sampled path.
+    ``certified_max_crossings`` is filled only when the exact crossing
+    oracle was run on the sampled path.
     """
 
     sample: EpsSample

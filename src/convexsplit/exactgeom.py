@@ -308,8 +308,13 @@ def orientation(pts: Sequence) -> int:
 
 @dataclass(frozen=True)
 class GeneralPositionReport:
+    """``sign`` is sigma when the points were found sigma-homogeneous, which
+    proves general position, and else 0.  It records how the answer was
+    reached, so reports compare on ``ok`` and ``witness`` alone."""
+
     ok: bool
     witness: tuple[int, ...] | None = None
+    sign: int = field(default=0, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -452,8 +457,19 @@ def is_general_position(seq: PointSeq) -> GeneralPositionReport:
 
     On failure the witness is a minimal dependent subset (no proper subset
     of it is dependent), found deterministically.
+
+    A homogeneous sequence is certified first by _alternating on its
+    rows, with O(n^(d-1)) determinants (at most 3 * C(n, 2) in R^3) for
+    d >= 2 and n >= d+1.  Proof: alternating rows give every
+    (d+1)-subset a nonzero determinant, so it is affinely independent,
+    and each smaller subset lies inside one of them.  Any other sequence
+    takes the full scan below.
     """
     n = len(seq)
+    if seq.dim >= 2 and n > seq.dim:
+        sign = _alternating(seq._hom)
+        if sign:
+            return GeneralPositionReport(True, sign=sign)
     dup = _duplicate_witness(seq)
     if dup is not None:
         return GeneralPositionReport(False, dup)

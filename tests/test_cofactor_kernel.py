@@ -4,8 +4,9 @@ replaced.
 ``_cofactors`` gives the vector c(D) with c(D) . x = det(D + [x]), so an
 exhaustive orientation scan computes c(D) once per d-subset D and one dot
 product per other point.  ``sign_sequence`` (hence ``is_flip``), the
-homogeneity scan, the size-(d+1) pass of ``is_general_position`` and
-``max_crossings`` now run that way.  The oracles below are the replaced
+homogeneity scan and the size-(d+1) pass of ``is_general_position`` now
+run that way; ``max_crossings`` did until it swept pencils instead (see
+test_pencil_sweep.py).  The oracles below are the replaced
 tuple-first versions, with every orientation decided by Bareiss
 elimination on the full (d+1)x(d+1) matrix.  Reports, witnesses and raised
 errors (type, message and witness) must agree exactly, on general-position
@@ -196,6 +197,41 @@ def point_sets(draw, max_extra=4):
     return d, pts
 
 
+@st.composite
+def curve_paths(draw, max_arcs=3):
+    """(d, points) for d = 1..4: one to three moment-curve arcs of d+1 to
+    8 points, each in increasing or decreasing t, with some coordinates
+    mirrored (sign -1) and a shift; then, each one time in four, a
+    duplicate, a replaced point, or d+1 or more points flattened onto
+    the hyperplane x_d = 0."""
+    d = draw(st.integers(1, 4))
+    sometimes = st.sampled_from((False, False, False, True))
+    pts = []
+    for _ in range(draw(st.integers(1, max_arcs))):
+        ts = sorted(draw(st.sets(st.integers(-6, 6), min_size=d + 1,
+                                 max_size=8)))
+        if draw(st.booleans()):
+            ts.reverse()
+        mirror = draw(st.lists(st.sampled_from((-1, 1)), min_size=d,
+                               max_size=d))
+        shift = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
+        pts += [[m * t ** (j + 1) + c
+                 for j, (m, c) in enumerate(zip(mirror, shift))]
+                for t in ts]
+    n = len(pts)
+    if draw(sometimes):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                             unique=True))
+        pts[j] = list(pts[i])
+    if draw(sometimes):
+        pts[draw(st.integers(0, n - 1))] = draw(st.lists(
+            st.integers(-6, 6), min_size=d, max_size=d))
+    if d >= 2 and draw(sometimes):
+        for i in draw(st.sets(st.integers(0, n - 1), min_size=d + 1)):
+            pts[i][-1] = 0
+    return d, pts
+
+
 class TestKernel:
     @given(st.integers(0, 5), st.data())
     @settings(max_examples=300, deadline=None)
@@ -264,7 +300,9 @@ class TestDFirstScans:
         assert outcome(is_order_type_homogeneous, seq) == \
             outcome(scan_homogeneous, seq)
 
-    @given(point_sets())
+    # Single moment arcs are homogeneous unless modified, so they reach the
+    # alternating certificate; the other inputs mostly take the scan.
+    @given(st.one_of(point_sets(), curve_paths(), curve_paths(max_arcs=1)))
     @settings(max_examples=400, deadline=None)
     def test_general_position_matches_tuple_path(self, case):
         d, pts = case

@@ -27,8 +27,9 @@ from convexsplit.exactgeom import (PointSeq, _alternating, _bareiss_det,
 from convexsplit.kseq import GreedyPartition, from_points, greedy_partition
 from convexsplit.ordertype import is_order_type_homogeneous
 from convexsplit.ramsey import _super_extract, super_extract
-from test_cofactor_kernel import (bareiss_sign, count_calls, moment_seq,
-                                  old_tuple_sign, outcome, point_sets)
+from test_cofactor_kernel import (bareiss_sign, count_calls, curve_paths,
+                                  moment_seq, old_tuple_sign, outcome,
+                                  point_sets)
 from test_local_convexity import scan_homogeneous
 
 
@@ -80,41 +81,6 @@ def tuple_greedy(seq: PointSeq) -> GreedyPartition:
         witnesses.append(wit)
         start = end
     return GreedyPartition(tuple(blocks), tuple(signs), tuple(witnesses))
-
-
-@st.composite
-def curve_paths(draw, max_arcs=3):
-    """(d, points) for d = 1..4: one to three moment-curve arcs of d+1 to
-    8 points, each in increasing or decreasing t, with some coordinates
-    mirrored (sign -1) and a shift; then, each one time in four, a
-    duplicate, a replaced point, or d+1 or more points flattened onto
-    the hyperplane x_d = 0."""
-    d = draw(st.integers(1, 4))
-    sometimes = st.sampled_from((False, False, False, True))
-    pts = []
-    for _ in range(draw(st.integers(1, max_arcs))):
-        ts = sorted(draw(st.sets(st.integers(-6, 6), min_size=d + 1,
-                                 max_size=8)))
-        if draw(st.booleans()):
-            ts.reverse()
-        mirror = draw(st.lists(st.sampled_from((-1, 1)), min_size=d,
-                               max_size=d))
-        shift = draw(st.lists(st.integers(-20, 20), min_size=d, max_size=d))
-        pts += [[m * t ** (j + 1) + c
-                 for j, (m, c) in enumerate(zip(mirror, shift))]
-                for t in ts]
-    n = len(pts)
-    if draw(sometimes):
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
-                             unique=True))
-        pts[j] = list(pts[i])
-    if draw(sometimes):
-        pts[draw(st.integers(0, n - 1))] = draw(st.lists(
-            st.integers(-6, 6), min_size=d, max_size=d))
-    if d >= 2 and draw(sometimes):
-        for i in draw(st.sets(st.integers(0, n - 1), min_size=d + 1)):
-            pts[i][-1] = 0
-    return d, pts
 
 
 @st.composite
@@ -266,6 +232,16 @@ class TestCounters:
         assert dec.partition.signs == (1,)
         assert orients == []
         assert seq._sign_cache == {}
+        assert len(dets) <= 3 * math.comb(n, 2)
+
+    @pytest.mark.parametrize("n", [4, 9, 30, 60])
+    def test_spatial_general_position_is_quadratic(self, n, monkeypatch):
+        seq = moment_seq(n, 3)
+        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        cofactors = count_calls(monkeypatch, exactgeom, "_cofactors")
+        path = PolyPath(seq)
+        assert path._sign == 1
+        assert cofactors == []
         assert len(dets) <= 3 * math.comb(n, 2)
 
     def test_ramsey_checks_general_position_twice(self, monkeypatch,
