@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import json
 import sys
@@ -545,7 +546,10 @@ def cmd_ramsey(args) -> int:
     return rep.emit(result)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so main reuses it on every call."""
     parser = argparse.ArgumentParser(
         prog="convexsplit",
         description="Exact convex decomposition of polygonal paths and "
@@ -563,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling seed (default 0)")
         p.add_argument("--oracle-budget", type=int,
                        default=DEFAULT_ORACLE_BUDGET,
-                       help="max n for brute-force oracle runs "
+                       help="max n for exact crossing oracle runs "
                             f"(default {DEFAULT_ORACLE_BUDGET})")
         p.add_argument("--out-json", help="also write the report here")
         p.add_argument("--out-svg", help="write an SVG plot (d=2 only)")

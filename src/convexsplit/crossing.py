@@ -12,9 +12,10 @@ The hyperplanes through d - 1 vertices F form a pencil, which maps to
 the lines through the origin of a plane.  Turning that line once moves
 the vertices across it one at a time, and a running count of crossed
 edges gives every hyperplane of the pencil, perturbations included, in
-O(1) each (see _pencil).  That is O(n^(d-1) * (n log n + 2^d * d))
-arithmetic operations, against O(2^d * n^(d+1)) for visiting every
-d-subset with its 2^d perturbations.
+O(1) each (see ordertype._pencil, which the flip test shares).  That is
+O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations, against
+O(2^d * n^(d+1)) for visiting every d-subset with its 2^d
+perturbations.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import kseq
 from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq,
                         _cofactors, _dots, is_general_position,
                         span_hyperplane)
-from .ordertype import is_order_type_homogeneous
+from .ordertype import _pencil, is_order_type_homogeneous
 
 
 class EdgeContainedError(ValueError):
@@ -161,106 +162,6 @@ def _subset_error(hom, d: int) -> GeneralPositionError:
             return GeneralPositionError(
                 "extra vertex on a spanned hyperplane", subset)
     raise AssertionError("no dependent subset")
-
-
-def _pencil(hom, F: tuple[int, ...]):
-    """Best count of every D = F + (p,) with p > max F, from one sweep of
-    the pencil of hyperplanes through the vertices F.
-
-    Returns (counts, q), or None on meeting a dependent (d+1)-subset of
-    vertices.  counts[p] is the best count over D's keys (see _keys).
-    q maps the vertices to the plane, and the vertex sides of h(D) are
-    sign det(q(p), q(y)).
-
-    Pencil: let B(x, y) = det[F; x; y], and a, b the first two vertices
-    outside F.  Then q(x) = (B(x, b), -s B(x, a)) with s = sign B(a, b)
-    has det(q(x), q(y)) = |B(a, b)| B(x, y).  This is the 2x2 identity
-    in the plane of rows modulo F, where B is a fixed multiple of the
-    2x2 determinant.  Two _cofactors vectors give every B(a, x) and
-    B(b, x).
-
-    Sweep: scale each q(x) by a sign t(x) into the half-open upper
-    half-plane and sort the vertices by angle.  A line through the origin
-    turning from angle 0 to pi passes each q(x) once.  Up to one sign
-    shared by all y, y's side of the line through q(p) is t(y), negated
-    once the line has passed q(y).  So each event moves one vertex
-    across the hyperplane.
-    That changes two edges, and the count of crossed edges away from F
-    updates in O(1).
-
-    Counts at the event of p: the edges away from D cross the running
-    count less p's crossed edges, call it R.  A perturbation scores R
-    plus the crossings of the edges touching D.  These split over the
-    maximal runs i..j of consecutive members of D, and ``edges`` gives
-    the best for one run: the sides along (l, run, r) change at most
-    j - i + 2 times, an even number of times iff l = r, so every edge
-    crosses unless both neighbours exist and l r = (-1)^(j-i+1).  The
-    runs of F are summed once and again only when a neighbour of one of
-    them moves.  When p = max F + 1, p extends the last run of F.  h(D)
-    itself scores R + d, and only when no edge lies in D.  Then each
-    member of D is a run of its own, whose best crosses at least one
-    edge, so h(D) never scores more than the best perturbation; it only
-    comes first on a tie, which _keys settles.
-    """
-    n = len(hom)
-    rows = [hom[i] for i in F]
-    rest = [x for x in range(n) if x not in F]
-    a, b = rest[0], rest[1]
-    ua = _dots(_cofactors(rows + [hom[a]]), hom)
-    ub = _dots(_cofactors(rows + [hom[b]]), hom)
-    s = (ua[b] > 0) - (ua[b] < 0)
-    if not s:
-        return None
-    q = [(-v, s * w) for v, w in zip(ub, ua)]
-    # t[x + 1] is t(x), and 0 on F and past both ends.  q(a) = (B(a, b), 0)
-    # lies at angle 0 once scaled by t(a) = s.  Every other q(x) has
-    # v = s B(a, x) != 0 unless F + {a, x} is dependent; scaled into
-    # v > 0, its angle rises with -u/v.  Two distinct ratios with v <= V
-    # differ by at least 1/V^2, so floor(-u 4^k / v) with 2^k > V is an
-    # exact integer key.
-    t = [0] * (n + 2)
-    t[a + 1] = s
-    keyed = []
-    for x in rest[1:]:
-        u, v = q[x]
-        if not v:
-            return None
-        t[x + 1] = 1 if v > 0 else -1
-        keyed.append((x, u * t[x + 1], v * t[x + 1]))
-    shift = 2 * max(v for _, _, v in keyed).bit_length()
-    keys = sorted(((-u << shift) // v, x) for x, u, v in keyed)
-    if any(k0 == k1 for (k0, _), (k1, _) in zip(keys, keys[1:])):
-        return None
-
-    def edges(i: int, j: int) -> int:
-        l, r = t[i], t[j + 2]
-        return j - i + (l != 0) + (r != 0) - (l * r == (-1) ** (j - i + 1))
-
-    runs: list[list[int]] = []
-    for f in F:
-        if runs and runs[-1][1] == f - 1:
-            runs[-1][1] = f
-        else:
-            runs.append([f, f])
-    borders = {v for i, j in runs for v in (i - 1, j + 1)}
-    m = F[-1] if F else -1
-    on_f = sum(edges(i, j) for i, j in runs)
-    crossed = sum(1 for y in range(1, n) if t[y] * t[y + 1] < 0)
-    counts = [-1] * n
-    for p in [a] + [x for _, x in keys]:
-        tl, tp, tr = t[p], t[p + 1], t[p + 2]
-        if p > m:
-            away = crossed - (tl * tp < 0) - (tp * tr < 0)
-            if F and p == m + 1:
-                i = runs[-1][0]
-                counts[p] = away + on_f - edges(i, m) + edges(i, p)
-            else:
-                counts[p] = away + on_f + edges(p, p)
-        t[p + 1] = tp = -tp
-        crossed -= tp * (tl + tr)
-        if p in borders:
-            on_f = sum(edges(i, j) for i, j in runs)
-    return counts, q
 
 
 def max_crossings(path: PolyPath) -> CrossingReport:

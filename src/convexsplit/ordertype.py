@@ -5,6 +5,15 @@ A sequence of points in R^d is order-type homogeneous when all its
 sequence of R lists the orientation of {p_i} union R over the remaining
 points in order; the sequence has the flip property when every R's sign
 sequence changes sign at most once.
+
+One sweep kernel serves the flip test and the crossing oracle
+(crossing.max_crossings): _pencil turns a hyperplane about d - 1
+points F and counts, for every further point p, the most crossings of
+the path with a hyperplane through F + (p,).  That count is d plus the
+sign changes of the sign sequence of F + (p,) (see is_flip), so a
+general-position sequence is flip iff its path is (d+1)-crossing.  The
+C(n-1, d-1) pencils take O(n^(d-1) * n log n) operations, against
+O(n^(d+1)) for reading every d-subset's sign sequence.
 """
 
 from __future__ import annotations
@@ -219,20 +228,168 @@ def count_sign_changes(s) -> int:
     return sum(1 for a, b in zip(entries, entries[1:]) if a != b)
 
 
+def _pencil(hom, F: tuple[int, ...]):
+    """Best count of every D = F + (p,) with p > max F, from one sweep of
+    the pencil of hyperplanes through the vertices F.
+
+    Returns (counts, q), or None on meeting a dependent (d+1)-subset of
+    vertices.  counts[p] is the best count of D: the most strict sign
+    changes along the vertex sides of a generic perturbation of h(D),
+    whose vertices D are pushed to chosen sides (crossing._keys lists
+    these hyperplanes).  As no (d+1)-subset containing F is dependent
+    once the sweep ends, that is d plus the sign changes of D's sign
+    sequence (see is_flip).  q maps the vertices to the plane, and the
+    vertex sides of h(D) are sign det(q(p), q(y)).  Cost: 2 cofactor
+    vectors, 2n dot products, a sort and an O(n) sweep.  It serves both
+    crossing.max_crossings and is_flip.
+
+    Pencil: let B(x, y) = det[F; x; y], and a, b the first two vertices
+    outside F.  Then q(x) = (B(x, b), -s B(x, a)) with s = sign B(a, b)
+    has det(q(x), q(y)) = |B(a, b)| B(x, y).  This is the 2x2 identity
+    in the plane of rows modulo F, where B is a fixed multiple of the
+    2x2 determinant.  Two _cofactors vectors give every B(a, x) and
+    B(b, x).
+
+    Sweep: scale each q(x) by a sign t(x) into the half-open upper
+    half-plane and sort the vertices by angle.  A line through the origin
+    turning from angle 0 to pi passes each q(x) once.  Up to one sign
+    shared by all y, y's side of the line through q(p) is t(y), negated
+    once the line has passed q(y).  So each event moves one vertex
+    across the hyperplane.
+    That changes two edges, and the count of crossed edges away from F
+    updates in O(1).
+
+    Counts at the event of p: the edges away from D cross the running
+    count less p's crossed edges, call it R.  A perturbation scores R
+    plus the crossings of the edges touching D.  These split over the
+    maximal runs i..j of consecutive members of D, and ``edges`` gives
+    the best for one run: the sides along (l, run, r) change at most
+    j - i + 2 times, an even number of times iff l = r, so every edge
+    crosses unless both neighbours exist and l r = (-1)^(j-i+1).  The
+    runs of F are summed once and again only when a neighbour of one of
+    them moves.  When p = max F + 1, p extends the last run of F.  h(D)
+    itself scores R + d, and only when no edge lies in D.  Then each
+    member of D is a run of its own, whose best crosses at least one
+    edge, so h(D) never scores more than the best perturbation; it only
+    comes first on a tie, which crossing._keys settles.
+    """
+    n = len(hom)
+    rows = [hom[i] for i in F]
+    rest = [x for x in range(n) if x not in F]
+    a, b = rest[0], rest[1]
+    ua = _dots(_cofactors(rows + [hom[a]]), hom)
+    ub = _dots(_cofactors(rows + [hom[b]]), hom)
+    s = (ua[b] > 0) - (ua[b] < 0)
+    if not s:
+        return None
+    q = [(-v, s * w) for v, w in zip(ub, ua)]
+    # t[x + 1] is t(x), and 0 on F and past both ends.  q(a) = (B(a, b), 0)
+    # lies at angle 0 once scaled by t(a) = s.  Every other q(x) has
+    # v = s B(a, x) != 0 unless F + {a, x} is dependent; scaled into
+    # v > 0, its angle rises with -u/v.  Two distinct ratios with v <= V
+    # differ by at least 1/V^2, so floor(-u 4^k / v) with 2^k > V is an
+    # exact integer key.
+    t = [0] * (n + 2)
+    t[a + 1] = s
+    keyed = []
+    for x in rest[1:]:
+        u, v = q[x]
+        if not v:
+            return None
+        t[x + 1] = 1 if v > 0 else -1
+        keyed.append((x, u * t[x + 1], v * t[x + 1]))
+    shift = 2 * max(v for _, _, v in keyed).bit_length()
+    keys = sorted(((-u << shift) // v, x) for x, u, v in keyed)
+    if any(k0 == k1 for (k0, _), (k1, _) in zip(keys, keys[1:])):
+        return None
+
+    def edges(i: int, j: int) -> int:
+        l, r = t[i], t[j + 2]
+        return j - i + (l != 0) + (r != 0) - (l * r == (-1) ** (j - i + 1))
+
+    runs: list[list[int]] = []
+    for f in F:
+        if runs and runs[-1][1] == f - 1:
+            runs[-1][1] = f
+        else:
+            runs.append([f, f])
+    borders = {v for i, j in runs for v in (i - 1, j + 1)}
+    m = F[-1] if F else -1
+    on_f = sum(edges(i, j) for i, j in runs)
+    crossed = sum(1 for y in range(1, n) if t[y] * t[y + 1] < 0)
+    counts = [-1] * n
+    for p in [a] + [x for _, x in keys]:
+        tl, tp, tr = t[p], t[p + 1], t[p + 2]
+        if p > m:
+            away = crossed - (tl * tp < 0) - (tp * tr < 0)
+            if F and p == m + 1:
+                i = runs[-1][0]
+                counts[p] = away + on_f - edges(i, m) + edges(i, p)
+            else:
+                counts[p] = away + on_f + edges(p, p)
+        t[p + 1] = tp = -tp
+        crossed -= tp * (tl + tr)
+        if p in borders:
+            on_f = sum(edges(i, j) for i, j in runs)
+    return counts, q
+
+
 def is_flip(seq: PointSeq) -> FlipReport:
     """True iff every d-subset's sign sequence has at most one sign change.
 
-    Exhaustive over all C(n, d) subsets; the reported violation is the
-    lexicographically least one.  Each subset D costs one cofactor vector
-    c(D) and n - d dot products (see sign_sequence), so C(n, d) cofactor
-    vectors and about n * C(n, d) dot products in all; every (d+1)-tuple
-    is evaluated d+1 times, once from each of its d-subsets, which is
-    cheaper than storing it.
+    The reported violation is the lexicographically least one.  Each
+    d-subset D is F + (p,) with p = max D, and one sweep of the pencil
+    through F (see _pencil) gives the best crossing count of every such
+    D.  For n > d and D in general position, that count is d plus the
+    sign changes of D's sign sequence, so D violates the flip property
+    iff its count exceeds d + 1: a general-position sequence is flip iff
+    its path is (d+1)-crossing.
+
+    Proof.  Entry i of D's sign sequence is (-1)^#{j in D : j > i} *
+    side(i), with side(i) the side of h(D) that vertex i lies on (see
+    sign_sequence).  Take two consecutive non-members i < i' with k
+    members of D between them: their entries differ iff side(i) *
+    side(i') * (-1)^k = -1.  Pushing those k members to chosen sides,
+    the k + 1 edges from i to i' change side at most k + 1 times, an even
+    number of times iff side(i) = side(i').  So all k + 1 can cross
+    exactly when the entries differ, and k otherwise.  A run of k
+    members before the first or after the last non-member has no such
+    constraint, and all its k edges cross.  The runs are perturbed
+    independently, and the members of D number d, so the best count is
+    d plus the number of sign changes.
+
+    F in lexicographic order and then p ascending visits D in
+    lexicographic order, so the first count above d + 1 gives the
+    witness.  Cost: C(n-1, d-1) pencils, O(n^(d-1) * n log n)
+    arithmetic operations, where scanning every D's sign sequence takes
+    C(n, d) cofactor vectors and about n * C(n, d) dot products,
+    O(n^(d+1)).
+
+    Degenerate input: the sweep of F stops on meeting a dependent
+    (d+1)-subset, and the scan over d-subsets (_scan_flip) runs from the
+    start; it returns the same witness or raises the same
+    GeneralPositionError.  A finished sweep of F' also proves that no D
+    = F' + (p,) has a zero entry, so every D before the stopping pencil
+    has neither a zero entry nor a violation.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    for subset in itertools.combinations(range(n), d):
+    for F in itertools.combinations(range(n - 1), d - 1):
+        pencil = _pencil(seq._hom, F)
+        if pencil is None:
+            return _scan_flip(seq)
+        for p, count in enumerate(pencil[0]):
+            if count > d + 1:
+                return FlipReport(False, witness=sign_sequence(seq, F + (p,)))
+    return FlipReport(True)
+
+
+def _scan_flip(seq: PointSeq) -> FlipReport:
+    """is_flip by scanning every d-subset's sign sequence in
+    lexicographic order; the first zero entry raises
+    GeneralPositionError (see sign_sequence)."""
+    for subset in itertools.combinations(range(len(seq)), seq.dim):
         ss = sign_sequence(seq, subset)
         if count_sign_changes(ss) > 1:
             return FlipReport(False, witness=ss)

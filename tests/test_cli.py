@@ -10,7 +10,7 @@ from decimal import Decimal
 import pytest
 from jsonschema import Draft202012Validator
 
-from convexsplit.cli import _rat, main
+from convexsplit.cli import _rat, build_parser, main
 from convexsplit.exactgeom import point_seq
 from convexsplit.kseq import c_bound
 from convexsplit.ordertype import is_order_type_homogeneous, tuple_sign
@@ -488,6 +488,25 @@ class TestReporting:
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2,
                                  sort_keys=True) + "\n"
+
+    def test_one_parser_serves_every_call(self, run, tmp_path):
+        # main reuses one parser; no flag of a call may reach the next.
+        planar = write(tmp_path, "zigzag.csv", ZIGZAG_CSV)
+        spatial = write(tmp_path, "moment.csv", MOMENT3_CSV)
+        out = tmp_path / "flip.json"
+        code, first = run(["homog", "--input", planar])
+        assert code == 0
+        assert first["config"] == {"dim": 2, "input": planar}
+        code, flip = run(["flip", "--input", planar, "--dim", "2",
+                          "--out-json", str(out)])
+        assert code == 0
+        assert flip["config"] == {"dim": 2, "input": planar,
+                                  "mode": "points"}
+        code, last = run(["homog", "--input", spatial])
+        assert code == 0
+        assert last["config"] == {"dim": 3, "input": spatial}
+        assert json.loads(out.read_text()) == flip
+        assert build_parser() is build_parser()
 
 
 def test_module_entry_point():

@@ -3,12 +3,12 @@ replaced.
 
 ``_cofactors`` gives the vector c(D) with c(D) . x = det(D + [x]), so an
 exhaustive orientation scan computes c(D) once per d-subset D and one dot
-product per other point.  ``sign_sequence`` (hence ``is_flip``), the
-homogeneity scan and the size-(d+1) pass of ``is_general_position`` now
-run that way; ``max_crossings`` did until it swept pencils instead (see
-test_pencil_sweep.py).  The oracles below are the replaced
-tuple-first versions, with every orientation decided by Bareiss
-elimination on the full (d+1)x(d+1) matrix.  Reports, witnesses and raised
+product per other point.  ``sign_sequence``, the homogeneity scan and
+the size-(d+1) pass of ``is_general_position`` now run that way;
+``max_crossings`` and ``is_flip`` did until they swept pencils instead
+(see test_pencil_sweep.py and test_flip_sweep.py).  The oracles below
+are the replaced tuple-first versions, with every orientation decided by
+Bareiss elimination on the full (d+1)x(d+1) matrix.  Reports, witnesses and raised
 errors (type, message and witness) must agree exactly, on general-position
 and degenerate input alike.
 """
@@ -357,11 +357,13 @@ class TestCounters:
     @pytest.mark.parametrize("d,n", [(1, 9), (2, 14), (3, 11), (4, 9)])
     def test_flip_makes_one_cofactor_run_per_subset(self, d, n,
                                                    monkeypatch):
+        # Two cofactor vectors per pencil of hyperplanes through d - 1
+        # points, where the subset scan made one per d-subset.
         seq = moment_seq(n, d)
         cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         assert is_flip(seq)
-        assert len(cofactors) == math.comb(n, d)
+        assert len(cofactors) == 2 * math.comb(n - 1, d - 1)
         assert orients == []
         assert seq._sign_cache == {}
 
