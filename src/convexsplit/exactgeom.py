@@ -12,7 +12,11 @@ the minors for d >= 4 run through fraction-free Bareiss elimination.  An
 exhaustive scan over (d+1)-tuples computes c(D) once per d-subset D and
 then one integer dot product per remaining point.  When all those signs
 should agree, ``_alternating`` proves it from O(n^(d-1)) determinants
-instead, by recursing on integer quotients of the rows.
+instead, in every dimension: a base determinant and the per-row step
+``_extends`` for rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion
+on integer quotients of the rows above.  Homogeneity, general position
+and greedy block extension all run on it.  ``PointSeq.orientation_of``
+memoizes single tuples for callers that ask for them one at a time.
 """
 
 from __future__ import annotations
@@ -175,6 +179,64 @@ def _quotient(rows: Sequence[Sequence[int]], v: Sequence[int]
             for w in rows], eps
 
 
+def _extends(rows: Sequence[Sequence[int]], s: int, j: int,
+             sigma: int) -> bool:
+    """Do the sigma-alternating rows v_s..v_{j-1} stay sigma-alternating
+    when v_j joins them?  Rank r = 2 or 3, and j >= s + r.
+
+    r = 2: det(v_s, v_j) and det(v_{j-1}, v_j) must equal sigma.  Proof
+    (sigma = +1; swap the coordinates for -1): measure angles from v_s.
+    The old rows lie at angles rising inside (0, pi) after v_s.
+    det(v_s, v_j) > 0 puts v_j in (0, pi) too, so the step from v_{j-1}
+    to v_j turns by an angle in (-pi, pi), and det(v_{j-1}, v_j) > 0
+    makes it positive.  So v_j comes after every old row, below pi, and
+    det(v_i, v_j) > 0 for every i < j.
+
+    r = 3: det(v_s, v_{s+1}, v_j), det(v_s, v_{j-1}, v_j) and
+    det(v_{j-2}, v_{j-1}, v_j) must equal sigma.  These are the turns at
+    v_s, at v_j and at v_{j-1} of the closed polygon v_s..v_j.  Reduce
+    to the plane first.  By _quotient, det(v_s, u, w) is eps_s times the
+    rank-2 determinant of u and w mod v_s, so the first two signs are
+    the r = 2 step on the rows mod v_s, and all of those lie at angles in
+    [0, pi) from the first.  Hence a linear functional f, vanishing on
+    v_s, is positive on v_{s+1}..v_j; adding a small multiple of one
+    positive on v_s gives F > 0 on every row.  Scaling each row by
+    1/F > 0 keeps every sign and puts the rows on the affine plane
+    F = 1, where the determinant is a fixed nonzero multiple of the
+    planar orientation.  So take points p_s..p_j whose old triples share
+    one sign, and mirror the plane if needed to make it positive.
+
+    Then a planar sequence has every triple positive iff, read as a
+    closed polygon, each directed edge has every other vertex strictly
+    on its left, i.e. iff it is a strictly convex polygon listed
+    counterclockwise: for an edge p_i p_{i+1} the triples (i, i+1, k)
+    and (k, i, i+1) are positive, and for the closing edge p_m p_s,
+    orient(p_m, p_s, p_k) = orient(p_s, p_k, p_m) > 0.  The three signs
+    are triples of the extended sequence, so they are necessary.  For
+    sufficiency, the old points see p_{s+1}, ..., p_{j-1} from p_s in
+    strictly counterclockwise order within an angle below pi, all left
+    of the ray p_s p_{s+1}.  orient(p_s, p_{s+1}, p_j) > 0 puts p_j left
+    of that ray too, and orient(p_s, p_{j-1}, p_j) > 0 puts it
+    counterclockwise after p_{j-1}, so the fan from p_s still spans less
+    than pi and its triangles p_s p_i p_{i+1} are positive and pairwise
+    interior-disjoint.  The new closed polygon is the union of that fan,
+    hence simple.  Its turns at the old inner vertices are unchanged,
+    and the turns at p_{j-1}, p_j and p_s are the three checked signs,
+    so every turn is left.  A simple polygon turning left at every
+    vertex is strictly convex and counterclockwise, so every triple of
+    the extended sequence is positive.
+    """
+    # The turn at v_{j-1} first: a rejected row usually fails it.
+    det = _det_sign
+    v, w = rows[j - 1], rows[j]
+    if len(w) == 2:
+        return det((v, w)) == sigma and det((rows[s], w)) == sigma
+    a = rows[s]
+    return (det((rows[j - 2], v, w)) == sigma
+            and det((a, v, w)) == sigma
+            and det((a, rows[s + 1], w)) == sigma)
+
+
 def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     """Is the integer vector configuration sigma-alternating?
 
@@ -187,28 +249,10 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     polytope (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
     *Oriented Matroids*).  Every determinant is one _det_sign call.
 
-    r = 2, with 2m - 3 determinants: det(v_1, v_j) = sigma for all j > 1
-    and det(v_j, v_{j+1}) = sigma for all j > 1.  Proof (sigma = +1; swap
-    the coordinates for -1): measure angles from v_1.  The first family
-    puts every later v_j at an angle in (0, pi).  A step from v_j to
-    v_{j+1} then turns by an angle in (-pi, pi), and det > 0 makes it
-    positive, so the angles rise inside (0, pi) and every pair in order
-    turns left.
-
-    r = 3, with about 3m determinants: det(v_1, v_2, v_j),
-    det(v_1, v_j, v_{j+1}) and det(v_j, v_{j+1}, v_{j+2}) all equal
-    sigma.  Proof: by _quotient, det(v_1, u, w) is eps_1 times the rank-2
-    determinant of u and w mod v_1, so the first two families are the
-    r = 2 test on the rows mod v_1, and those lie at angles in [0, pi)
-    from the first of them.  Hence a linear functional f, vanishing on
-    v_1, is positive on v_2..v_m; adding a small multiple of one positive
-    on v_1 gives F > 0 on every v_j.  Scaling each v_j by 1/F(v_j) > 0
-    keeps every sign and puts the rows on the affine plane F = 1, where
-    the determinant is a fixed nonzero multiple of the planar
-    orientation.  There the three families are the base triple and, for
-    each later point, the three signs of ordertype.convex_chain_extends
-    against the prefix before it, whose proof gives every triple by
-    induction.
+    r = 2 and 3: the first r rows must have sign sigma, and each later
+    row must pass _extends against the rows before it, which gives every
+    r-subset by induction.  That is 2m - 3 determinants for r = 2 and
+    3m - 8 for r = 3.
 
     r >= 4, with O(m^(r-2)) determinants: every r-subset has a least
     member v_i, and by _quotient its determinant is eps_i times that of
@@ -221,25 +265,12 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     if not m or m < len(rows[0]):
         return sigma
     r = len(rows[0])
-    det = _det_sign
-    if r == 2:
-        a = rows[0]
-        sigma = sigma or det((a, rows[1]))
-        ok = (sigma
-              and all(det((a, w)) == sigma for w in rows[1:])
-              and all(det(pair) == sigma
-                      for pair in zip(rows[1:], rows[2:])))
-        return sigma if ok else 0
-    if r == 3:
-        a, b = rows[0], rows[1]
-        sigma = sigma or det((a, b, rows[2]))
-        ok = (sigma
-              and all(det((a, b, w)) == sigma for w in rows[2:])
-              and all(det((a, u, w)) == sigma
-                      for u, w in zip(rows[2:], rows[3:]))
-              and all(det(triple) == sigma
-                      for triple in zip(rows[1:], rows[2:], rows[3:])))
-        return sigma if ok else 0
+    if r <= 3:
+        base = _det_sign(rows[:r])
+        if not base or sigma not in (0, base):
+            return 0
+        ok = all(_extends(rows, 0, j, base) for j in range(r, m))
+        return base if ok else 0
     for i in range(m - r + 1):
         if not any(rows[i]):
             return 0

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
+from .exactgeom import (PointSeq, _alternating, _cofactors, _dots, _extends,
                         _quotient)
-from .ordertype import convex_chain_extends, tuple_sign
+from .ordertype import _raise_dependent, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
 #: recorded for reference and surfaced by the CLI `bounds` command, never
@@ -26,10 +26,10 @@ KNOWN_BOUNDS = {"c1": 3, "c2_le": 22, "M1": 3, "M2": 4, "M3_le": 22}
 
 
 class KSequence:
-    """Ordered distinct elements with a memoized total sign oracle.
+    """Ordered distinct elements with a total sign oracle.
 
     ``sign_fn`` receives a (k+1)-tuple of element ids in sequence order and
-    must return -1 or +1 for every such subset.
+    must return -1 or +1 for every such subset; every answer is checked.
     """
 
     def __init__(self, k: int, elements: Iterable, sign_fn: Callable):
@@ -41,7 +41,6 @@ class KSequence:
             raise ValueError("elements must be distinct")
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._sign_fn = sign_fn
-        self._cache: dict[tuple[int, ...], int] = {}
         # set by from_points when positions align with a PointSeq; lets
         # _extend decide geometric blocks from local determinants
         self._points: PointSeq | None = None
@@ -51,14 +50,11 @@ class KSequence:
 
     def sign_at(self, positions: tuple[int, ...]) -> int:
         """Sign of the (k+1)-subset at strictly increasing positions."""
-        s = self._cache.get(positions)
-        if s is None:
-            if len(positions) != self.k + 1:
-                raise ValueError(f"need {self.k + 1} positions")
-            s = self._sign_fn(tuple(self.elements[i] for i in positions))
-            if s not in (-1, 1):
-                raise ValueError(f"sign oracle returned {s!r}")
-            self._cache[positions] = s
+        if len(positions) != self.k + 1:
+            raise ValueError(f"need {self.k + 1} positions")
+        s = self._sign_fn(tuple(self.elements[i] for i in positions))
+        if s not in (-1, 1):
+            raise ValueError(f"sign oracle returned {s!r}")
         return s
 
     def sign(self, subset: Iterable) -> int:
@@ -134,35 +130,6 @@ class GreedyPartition:
         return len(self.blocks)
 
 
-def _extend_planar(seq: PointSeq, start: int, nxt: int, sigma: int | None
-                   ) -> tuple[tuple[int, int] | None, int | None]:
-    """Planar specialization of the block-extension test.
-
-    Checks the same pair subsets in the same order as the generic loop,
-    and returns the same (witness, sigma), but evaluates each orientation
-    as an integer 3x3 determinant with the candidate row's cofactors
-    hoisted out of the pair loop.
-    """
-    hom = seq._hom
-    c0, c1, c2 = hom[nxt]
-    rows = hom[start:nxt]
-    cof = [(b1 * c2 - b2 * c1, b0 * c2 - b2 * c0, b0 * c1 - b1 * c0)
-           for b0, b1, b2 in rows]
-    for i, (a0, a1, a2) in enumerate(rows):
-        for j in range(i + 1, len(rows)):
-            u, v, w = cof[j]
-            det = a0 * u - a1 * v + a2 * w
-            if det == 0:
-                raise GeneralPositionError(
-                    "orientation is zero", (start + i, start + j, nxt))
-            t = 1 if det > 0 else -1
-            if sigma is None:
-                sigma = t
-            elif t != sigma:
-                return (start + i, start + j), sigma
-    return None, sigma
-
-
 def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
             ) -> tuple[tuple[int, ...] | None, int | None]:
     """Can element nxt join the block [start, nxt)?  All new (k+1)-subsets
@@ -173,43 +140,66 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
     the first k-subset D, in lexicographic order, with sign(D + nxt) !=
     sigma: the scan stops there, so it is the block's rejection witness.
 
-    Geometric planar blocks are accepted in O(1): one orientation for a
-    two-point block, else the three signs of convex_chain_extends.  The
-    pair loop of _extend_planar runs only when that test fails, so it
-    builds the same rejection or GeneralPositionError as the full scan.
-
-    Geometric blocks in R^k, k >= 3, are accepted when the block's rows
-    modulo hom(nxt) are alternating (exactgeom._alternating): with eps
-    from exactgeom._quotient, sign(D + nxt) = (-1)^k * eps * det(D mod
-    hom(nxt)), as moving hom(nxt) to the front takes k swaps.  That is
-    3b determinants for a block of b points in R^3, and O(b^(k-2)) in
-    general, where the subset loop below reads C(b, k) orientations.  An
-    open sigma is the sign of the first subset, as in the loop.  The loop
-    runs only when the test fails, to build the rejection or the
-    GeneralPositionError.
+    Geometric blocks are first tested on their homogeneous rows, which
+    are alternating exactly when the block is homogeneous (see
+    exactgeom._alternating).  In R^1 and R^2, once sigma is set, the
+    block's rows already alternate, and exactgeom._extends decides nxt
+    from 2 or 3 determinants.  While sigma is open the block has k
+    points, and the k + 1 rows with nxt take one determinant.  In R^k
+    for k >= 3, nxt joins when the block's rows modulo hom(nxt) are
+    alternating: with eps from exactgeom._quotient, sign(D + nxt) =
+    (-1)^k * eps * det(D mod hom(nxt)), as moving hom(nxt) to the front
+    takes k swaps.  That is 3b determinants for a block of b points in
+    R^3, and O(b^(k-2)) in general, where the subset scan reads C(b, k)
+    orientations.  An open sigma is the sign of the first subset, as in
+    the scan.  The scan (_scan_extension) runs only when the test fails,
+    to build the rejection or the GeneralPositionError.  Abstract
+    sequences read every new subset from sign_at.
     """
-    if s.k == 2 and s._points is not None:
-        seq = s._points
-        if nxt - start == 2:
-            t = seq.orientation_of((start, start + 1, nxt))
-            if t and sigma in (None, t):
-                return None, t
-        elif convex_chain_extends(seq, start, nxt - 1, nxt, sigma):
-            return None, sigma
-        return _extend_planar(seq, start, nxt, sigma)
-    if s.k >= 3 and s._points is not None:
-        hom = s._points._hom
+    seq = s._points
+    if seq is None:
+        for comb in itertools.combinations(range(start, nxt), s.k):
+            t = s.sign_at(comb + (nxt,))
+            if sigma is None:
+                sigma = t
+            elif t != sigma:
+                return comb, sigma
+        return None, sigma
+    hom = seq._hom
+    if s.k >= 3:
         rows, eps = _quotient(hom[start:nxt], hom[nxt])
         parity = -eps if s.k % 2 else eps
-        t = _alternating(rows, sigma * parity if sigma else 0)
-        if t:
-            return None, t * parity
-    for comb in itertools.combinations(range(start, nxt), s.k):
-        t = s.sign_at(comb + (nxt,))
-        if sigma is None:
-            sigma = t
-        elif t != sigma:
-            return comb, sigma
+        t = _alternating(rows, sigma * parity if sigma else 0) * parity
+    elif sigma:
+        t = sigma if _extends(hom, start, nxt, sigma) else 0
+    else:
+        t = _alternating(hom[start:nxt + 1])
+    if t:
+        return None, t
+    return _scan_extension(hom, s.k, start, nxt, sigma)
+
+
+def _scan_extension(hom, k: int, start: int, nxt: int, sigma: int | None
+                    ) -> tuple[tuple[int, ...] | None, int | None]:
+    """The k-subsets D of [start, nxt) in lexicographic order, until
+    sign(D + nxt) != sigma; returns (witness, sigma) as _extend does.
+
+    D-first: for each (k-1)-subset D' of [start, nxt - 1), the cofactor
+    vector c of the rows D' + [hom(nxt)] gives sign det(D' + (j, nxt)) =
+    -sign(c . hom(j)) for every j > max D', by one row swap.  A zero
+    raises tuple_sign's GeneralPositionError.
+    """
+    for D in itertools.combinations(range(start, nxt - 1), k - 1):
+        c = _cofactors([hom[i] for i in D] + [hom[nxt]])
+        lo = D[-1] + 1 if D else start
+        for j, v in enumerate(_dots(c, hom[lo:nxt]), lo):
+            if not v:
+                _raise_dependent(D + (j, nxt))
+            t = -1 if v > 0 else 1
+            if sigma is None:
+                sigma = t
+            elif t != sigma:
+                return D + (j,), sigma
     return None, sigma
 
 
@@ -217,12 +207,12 @@ def greedy_partition(s: KSequence) -> GreedyPartition:
     """Left-to-right maximal partition into monochromatic blocks.
 
     Each candidate element is tested against the (k+1)-subsets it forms
-    with the current block.  Geometric sequences need O(1) orientations
-    per accepted element in the plane, so O(n) over a convex path, and
-    O(b^(k-2)) determinants in R^k for k >= 3, so O(n^2) over a convex
-    path in R^3 (see _extend); other sequences check all C(b, k) new
-    subsets for a block of b elements.  A block's witness is the subset
-    on which _extend rejected its successor, so no second scan builds it.
+    with the current block.  Geometric sequences need O(1) determinants
+    per accepted element in R^1 and R^2, so O(n) over a convex path, and
+    O(b^(k-2)) in R^k for k >= 3, so O(n^2) over a convex path in R^3
+    (see _extend); other sequences check all C(b, k) new subsets for a
+    block of b elements.  A block's witness is the subset on which
+    _extend rejected its successor, so no second scan builds it.
     """
     n = len(s)
     if n < 1:

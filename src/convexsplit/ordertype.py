@@ -6,6 +6,10 @@ sequence of R lists the orientation of {p_i} union R over the remaining
 points in order; the sequence has the flip property when every R's sign
 sequence changes sign at most once.
 
+Homogeneity is decided in every dimension by exactgeom._alternating on
+the points' homogeneous rows, from O(n^(d-1)) determinants; only input
+that fails it pays for the lexicographic scan that names the witness.
+
 One sweep kernel serves the flip test and the crossing oracle
 (crossing.max_crossings): _pencil turns a hyperplane about d - 1
 points F and counts, for every further point p, the most crossings of
@@ -73,94 +77,25 @@ def _raise_dependent(idx: tuple[int, ...]):
     raise GeneralPositionError(f"affinely dependent tuple {idx}", idx)
 
 
-def convex_chain_extends(seq: PointSeq, start: int, last: int, q: int,
-                         sigma: int) -> bool:
-    """Does the planar block start..last, homogeneous with sign ``sigma``
-    and at least 3 points long, stay homogeneous when q > last joins it?
-
-    Three orientations decide it: the turns at p_last, at q and at
-    p_start of the closed polygon p_start..p_last, q, i.e.
-    orient(p_{last-1}, p_last, q), orient(p_start, p_last, q) and
-    orient(p_start, p_{start+1}, q) must all equal sigma.
-
-    Proof (sigma = +1; mirror the plane for -1).  A planar sequence has
-    every triple positive iff, read as a closed polygon, each directed
-    edge has every other vertex strictly on its left, i.e. iff it is a
-    strictly convex polygon listed counterclockwise: for an edge
-    p_i p_{i+1} the triples (i, i+1, k) and (k, i, i+1) are positive, and
-    for the closing edge p_m p_s, orient(p_m, p_s, p_k) =
-    orient(p_s, p_k, p_m) > 0.  Necessity of the three signs is then
-    immediate, as they are triples of the extended sequence.  For
-    sufficiency, the old block sees p_{start+1}, ..., p_last from p_start
-    in strictly counterclockwise order within an angle below pi, all left
-    of the ray p_start p_{start+1}.  orient(p_start, p_{start+1}, q) > 0
-    puts q left of that ray too, and orient(p_start, p_last, q) > 0 puts
-    it counterclockwise after p_last, so the fan from p_start still
-    spans less than pi and its triangles p_start p_j p_{j+1} and
-    p_start p_last q are positive and pairwise interior-disjoint.  The
-    new closed polygon is the union of that fan, hence simple.  Its turns
-    at the old inner vertices are unchanged, and the turns at p_last, q
-    and p_start are the three checked signs, so every turn is left.  A
-    simple polygon turning left at every vertex is strictly convex and
-    counterclockwise, so every triple of the extended sequence is
-    positive.
-
-    Indices must satisfy start + 2 <= last < q.  In R^d for d >= 3 the
-    analogue works on homogeneous rows: exactgeom._alternating decides a
-    whole sequence from O(n^(d-1)) determinants, and a block extended by
-    q from its rows modulo hom(q) (see kseq._extend).
-    """
-    o = seq.orientation_of
-    return (o((last - 1, last, q)) == sigma
-            and o((start, last, q)) == sigma
-            and o((start, start + 1, q)) == sigma)
-
-
-def _local_sign(seq: PointSeq) -> int | None:
-    """Common sign of a sequence from local determinants.
-
-    d = 1: all consecutive pairs share a sign iff the coordinates are
-    strictly monotone, iff every pair does.  d = 2: the first triple fixes
-    sigma and each later point must pass convex_chain_extends against the
-    prefix before it; O(n) orientations.  d >= 3: the homogeneous rows
-    must be sigma-alternating (exactgeom._alternating), with sigma the
-    sign of the first tuple; O(n^(d-1)) determinants, 3 * C(n, 2) at most
-    in R^3.  Returns None when some local sign is 0 or -sigma; the
-    sequence is then either degenerate or not homogeneous.
-    """
-    if seq.dim >= 3:
-        return _alternating(seq._hom) or None
-    n, o = len(seq), seq.orientation_of
-    if seq.dim == 1:
-        sigma = o((0, 1))
-        if sigma and all(o((i - 1, i)) == sigma for i in range(2, n)):
-            return sigma
-        return None
-    sigma = o((0, 1, 2))
-    if sigma and all(convex_chain_extends(seq, 0, m - 1, m, sigma)
-                     for m in range(3, n)):
-        return sigma
-    return None
-
-
 def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     """Common orientation sign of all (d+1)-tuples, if there is one.
 
-    A local test settles homogeneous input (see _local_sign): at most 3n
-    orientations for d <= 2, and O(n^(d-1)) determinants for d >= 3.
-    Whenever a local sign is 0 or opposite, all C(n, d+1) tuples are
-    scanned in lexicographic order: the witness, when present, is the
-    lexicographically least pair of opposite-sign tuples, and a zero
-    orientation met before any such pair raises GeneralPositionError.
-    The scan runs D-first, in the same order: each d-subset D of the first
-    n-1 points, then every later point i, at the cost of C(n-1, d)
-    cofactor vectors and C(n, d+1) integer dot products.
+    Homogeneous input is settled by exactgeom._alternating on the
+    homogeneous rows: 2n - 3 determinants in R^1, at most 3n in R^2, and
+    O(n^(d-1)) for d >= 3, 3 * C(n, 2) at most in R^3.  Whenever it
+    fails, all C(n, d+1) tuples are scanned in lexicographic order: the
+    witness, when present, is the lexicographically least pair of
+    opposite-sign tuples, and a zero orientation met before any such pair
+    raises GeneralPositionError.  The scan runs D-first, in the same
+    order: each d-subset D of the first n-1 points, then every later
+    point i, at the cost of C(n-1, d) cofactor vectors and C(n, d+1)
+    integer dot products.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    sigma = _local_sign(seq)
-    if sigma is not None:
+    sigma = _alternating(seq._hom)
+    if sigma:
         return HomogeneityReport(True, sign=sigma)
     hom = seq._hom
     sign0 = 0
@@ -366,11 +301,11 @@ def is_flip(seq: PointSeq) -> FlipReport:
     O(n^(d+1)).
 
     Degenerate input: the sweep of F stops on meeting a dependent
-    (d+1)-subset, and the scan over d-subsets (_scan_flip) runs from the
-    start; it returns the same witness or raises the same
-    GeneralPositionError.  A finished sweep of F' also proves that no D
-    = F' + (p,) has a zero entry, so every D before the stopping pencil
-    has neither a zero entry nor a violation.
+    (d+1)-subset, and the scan over d-subsets (_scan_flip) resumes at the
+    first D of that pencil; it returns the same witness or raises the
+    same GeneralPositionError as a scan from the start.  A finished sweep
+    of F' also proves that no D = F' + (p,) has a zero entry, so every D
+    before the stopping pencil has neither a zero entry nor a violation.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
@@ -378,18 +313,19 @@ def is_flip(seq: PointSeq) -> FlipReport:
     for F in itertools.combinations(range(n - 1), d - 1):
         pencil = _pencil(seq._hom, F)
         if pencil is None:
-            return _scan_flip(seq)
+            return _scan_flip(seq, F + (F[-1] + 1 if F else 0,))
         for p, count in enumerate(pencil[0]):
             if count > d + 1:
                 return FlipReport(False, witness=sign_sequence(seq, F + (p,)))
     return FlipReport(True)
 
 
-def _scan_flip(seq: PointSeq) -> FlipReport:
-    """is_flip by scanning every d-subset's sign sequence in
-    lexicographic order; the first zero entry raises
+def _scan_flip(seq: PointSeq, first: tuple[int, ...]) -> FlipReport:
+    """is_flip by scanning the sign sequence of every d-subset from
+    ``first`` on, in lexicographic order; the first zero entry raises
     GeneralPositionError (see sign_sequence)."""
-    for subset in itertools.combinations(range(len(seq)), seq.dim):
+    subsets = itertools.combinations(range(len(seq)), seq.dim)
+    for subset in itertools.dropwhile(first.__gt__, subsets):
         ss = sign_sequence(seq, subset)
         if count_sign_changes(ss) > 1:
             return FlipReport(False, witness=ss)

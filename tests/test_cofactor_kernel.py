@@ -369,9 +369,9 @@ class TestCounters:
 
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_spatial_homogeneity_scan(self, n, monkeypatch):
-        # Homogeneous input is settled by the local test; switch it off
-        # to count the full scan, which still runs on any other input.
-        monkeypatch.setattr(ordertype, "_local_sign", lambda seq: None)
+        # Homogeneous input is settled by the alternating test; switch it
+        # off to count the full scan, which still runs on any other input.
+        monkeypatch.setattr(ordertype, "_alternating", lambda *args: 0)
         seq = moment_seq(n, 3)
         cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")

@@ -108,18 +108,34 @@ class TestIdentity:
                 assert counts[p] == d + count_sign_changes(ss)
 
 
+def run_flip(tmp_path, points):
+    """CLI flip on the points: exit code, report and seconds taken."""
+    data = tmp_path / "points.json"
+    data.write_text(json.dumps(
+        {"points": [[str(c) for c in p] for p in points]}),
+        encoding="utf-8")
+    out = io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out):
+        code = cli.main(["flip", "--input", str(data)])
+    return code, json.loads(out.getvalue()), time.perf_counter() - started
+
+
 class TestCost:
     def test_240_planar_moment_points_under_1s(self, tmp_path):
         seq = random_moment_seq(240, 2)
-        data = tmp_path / "moment.json"
-        data.write_text(json.dumps(
-            {"points": [[str(c) for c in p] for p in seq.points]}),
-            encoding="utf-8")
-        out = io.StringIO()
-        started = time.perf_counter()
-        with redirect_stdout(out):
-            code = cli.main(["flip", "--input", str(data)])
-        elapsed = time.perf_counter() - started
+        code, report, elapsed = run_flip(tmp_path, seq.points)
         assert code == 0
-        assert json.loads(out.getvalue())["result"]["flip"] is True
+        assert report["result"]["flip"] is True
+        assert elapsed < 1.0
+
+    def test_degenerate_last_point_resumes_the_scan(self, tmp_path):
+        # The last point moved onto the line through the two before it:
+        # the sweeps of the first 237 pencils finish, and the subset scan
+        # starts at the pencil that stopped, not at the first subset.
+        pts = list(random_moment_seq(240, 2).points)
+        pts[239] = tuple(2 * b - a for a, b in zip(pts[237], pts[238]))
+        code, report, elapsed = run_flip(tmp_path, pts)
+        assert code == 3
+        assert report["error"]["witness"] == [237, 238, 239]
         assert elapsed < 1.0

@@ -1,11 +1,14 @@
-"""The local planar convexity test against the exhaustive paths it replaces.
+"""The local convexity test in R^1 and R^2 against the exhaustive paths
+it replaces.
 
-``is_order_type_homogeneous`` (d <= 2) and planar greedy block extension
-decide homogeneity from O(1) orientations per point.  The reference
-oracles below are the exhaustive versions: the lexicographic scan over
-all C(n, d+1) tuples, and a greedy partition whose every extension runs
-the full ``_extend_planar`` pair loop.  Reports, witnesses and raised
-errors must agree exactly, on general-position and degenerate input.
+``is_order_type_homogeneous`` and greedy block extension decide
+homogeneity from O(1) determinants per point (``exactgeom._extends``).
+The reference oracles below are the exhaustive versions: the
+lexicographic scan over all C(n, d+1) tuples, and a planar greedy
+partition whose every extension runs the full O(b^2) pair loop over the
+block.  Reports, witnesses and raised errors must agree exactly, on
+general-position and degenerate input; the pair loop names a zero
+orientation as tuple_sign does.
 """
 
 import functools
@@ -16,8 +19,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexsplit import kseq
-from convexsplit.curves import builtin, epsilon_sample
+from convexsplit import exactgeom, kseq
+from convexsplit.crossing import PolyPath, decompose
+from convexsplit.curves import builtin, decompose_curve, epsilon_sample
 from convexsplit.exactgeom import GeneralPositionError, PointSeq, point_seq
 from convexsplit.kseq import from_points, greedy_partition
 from convexsplit.ordertype import (HomogeneityReport,
@@ -40,9 +44,35 @@ def scan_homogeneous(seq: PointSeq) -> HomogeneityReport:
     return HomogeneityReport(True, sign=sign0)
 
 
+def pair_loop(seq: PointSeq, start: int, nxt: int, sigma: int | None):
+    """Reference: can nxt join the planar block [start, nxt)?  Every pair
+    (i, j) of the block in lexicographic order, each orientation an
+    integer 3x3 determinant with the candidate row's cofactors hoisted
+    out of the loop.  Returns (witness, sigma) like kseq._extend."""
+    hom = seq._hom
+    c0, c1, c2 = hom[nxt]
+    rows = hom[start:nxt]
+    cof = [(b1 * c2 - b2 * c1, b0 * c2 - b2 * c0, b0 * c1 - b1 * c0)
+           for b0, b1, b2 in rows]
+    for i, (a0, a1, a2) in enumerate(rows):
+        for j in range(i + 1, len(rows)):
+            u, v, w = cof[j]
+            det = a0 * u - a1 * v + a2 * w
+            if det == 0:
+                idx = (start + i, start + j, nxt)
+                raise GeneralPositionError(f"affinely dependent tuple {idx}",
+                                           idx)
+            t = 1 if det > 0 else -1
+            if sigma is None:
+                sigma = t
+            elif t != sigma:
+                return (start + i, start + j), sigma
+    return None, sigma
+
+
 def pair_loop_greedy(seq: PointSeq) -> kseq.GreedyPartition:
     """Reference: planar greedy partition, every extension decided by the
-    full O(b^2) pair loop of _extend_planar."""
+    full O(b^2) pair loop."""
     s = from_points(seq)
     n, k = len(s), s.k
     blocks, signs, witnesses = [], [], []
@@ -56,7 +86,7 @@ def pair_loop_greedy(seq: PointSeq) -> kseq.GreedyPartition:
             if nxt - start + 1 <= k:
                 end = nxt
                 continue
-            wit, sigma = kseq._extend_planar(seq, start, nxt, sigma)
+            wit, sigma = pair_loop(seq, start, nxt, sigma)
             if wit is not None:
                 rejected = nxt
                 break
@@ -168,21 +198,17 @@ def convex_polygon(n):
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """Counts of PointSeq.orientation_of and _extend_planar calls."""
-    counts = {"orient": 0, "pair_loop": 0}
-    orientation_of = PointSeq.orientation_of
-    extend_planar = kseq._extend_planar
+    """Counts of PointSeq.orientation_of, exactgeom._det_sign and
+    kseq._scan_extension calls."""
+    counts = {"orient": 0, "dets": 0, "scan": 0}
+    for owner, name, key in ((PointSeq, "orientation_of", "orient"),
+                             (exactgeom, "_det_sign", "dets"),
+                             (kseq, "_scan_extension", "scan")):
+        def counting(*args, _fn=getattr(owner, name), _key=key):
+            counts[_key] += 1
+            return _fn(*args)
 
-    def counting_orientation(self, idx):
-        counts["orient"] += 1
-        return orientation_of(self, idx)
-
-    def counting_extend(*args):
-        counts["pair_loop"] += 1
-        return extend_planar(*args)
-
-    monkeypatch.setattr(PointSeq, "orientation_of", counting_orientation)
-    monkeypatch.setattr(kseq, "_extend_planar", counting_extend)
+        monkeypatch.setattr(owner, name, counting)
     return counts
 
 
@@ -192,24 +218,57 @@ class TestCounters:
         ts = [Fraction(i, 11) for i in range(1, n + 1)]
         seq = point_seq([(t, t * t) for t in ts])
         assert is_order_type_homogeneous(seq).sign == 1
-        assert counted["orient"] <= 3 * n
+        assert counted["orient"] == 0
+        assert counted["dets"] <= 3 * n
+        assert seq._sign_cache == {}
 
     def test_line_homog_is_linear(self, counted):
         seq = point_seq([(Fraction(-i, 7),) for i in range(100)])
         assert is_order_type_homogeneous(seq).sign == -1
-        assert counted["orient"] == 99
+        assert counted["orient"] == 0
+        assert counted["dets"] == 2 * 100 - 3
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_greedy_on_convex_polygon_is_linear(self, n, counted):
         gp = greedy_partition(from_points(convex_polygon(n)))
         assert gp.blocks == ((0, n - 1),)
         assert gp.signs == (1,)
-        assert counted["orient"] <= 3 * n
-        assert counted["pair_loop"] == 0
+        assert counted["orient"] == 0
+        assert counted["dets"] <= 3 * n
+        assert counted["scan"] == 0
+
+    @pytest.mark.parametrize("n", [10, 60, 200])
+    def test_decompose_convex_polygon_reads_no_tuple(self, n, counted):
+        seq = convex_polygon(n)
+        dec = decompose(PolyPath(seq))
+        assert dec.pieces == ((0, n - 1),)
+        assert counted["orient"] == 0
+        assert counted["dets"] <= 3 * n
+        assert seq._sign_cache == {}
+
+    def test_decompose_curve_reads_no_tuple(self, counted):
+        out = decompose_curve(builtin("quintic"), Fraction(1, 25))
+        seq = out.sample.path.seq
+        assert len(out.decomposition.pieces) == 4
+        assert counted["orient"] == 0
+        assert counted["dets"] <= 3 * len(seq)
+        assert seq._sign_cache == {}
+
+    @pytest.mark.parametrize("n", [2, 10, 100])
+    def test_line_greedy_is_linear(self, n, counted, monkeypatch):
+        seq = point_seq([(Fraction(i * i, 7),) for i in range(n)])
+        sign_at = []
+        monkeypatch.setattr(kseq.KSequence, "sign_at",
+                            lambda *args: sign_at.append(args))
+        gp = greedy_partition(from_points(seq))
+        assert gp.blocks == ((0, n - 1),)
+        assert gp.signs == (1,)
+        assert counted["dets"] <= 2 * n
+        assert sign_at == []
 
     def test_pair_loop_runs_once_per_rejected_block(self, counted):
         seq = epsilon_sample(builtin("quintic"), Fraction(1, 25)).path.seq
-        counted["pair_loop"] = 0
+        counted["scan"] = 0
         gp = greedy_partition(from_points(seq))
         assert gp.m == 4
-        assert counted["pair_loop"] == gp.m - 1
+        assert counted["scan"] == gp.m - 1

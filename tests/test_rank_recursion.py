@@ -45,8 +45,7 @@ def brute_alternating(rows, sigma=0):
 
 def tuple_greedy(seq: PointSeq) -> GreedyPartition:
     """Reference: greedy partition whose every extension reads all C(b, d)
-    new tuples, each by Bareiss on the full matrix.  The planar pair loop
-    names its zero "orientation is zero"; every other dimension raises
+    new tuples, each by Bareiss on the full matrix; a zero raises
     tuple_sign's error."""
     n, k = len(seq), seq.dim
     blocks, signs, witnesses = [], [], []
@@ -59,11 +58,7 @@ def tuple_greedy(seq: PointSeq) -> GreedyPartition:
                 end = nxt
                 continue
             for comb in itertools.combinations(range(start, nxt), k):
-                idx = comb + (nxt,)
-                if k == 2 and bareiss_sign([seq._hom[i] for i in idx]) == 0:
-                    raise exactgeom.GeneralPositionError(
-                        "orientation is zero", idx)
-                t = old_tuple_sign(seq, idx)
+                t = old_tuple_sign(seq, comb + (nxt,))
                 if sigma is None:
                     sigma = t
                 elif t != sigma:
