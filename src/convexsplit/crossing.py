@@ -67,8 +67,8 @@ class PolyPath:
         Two callers hold such a certificate, and both pass at least 2
         points.  epsilon_sample passes the points that
         IncrementalGeneralPosition accepted: every subset of <= dim+1 of
-        them was checked when its last point joined, which covers each
-        subset that is_general_position checks.  ramsey's extraction
+        them was checked when its last point joined, by the same quotient
+        recursion that is_general_position runs on the whole set.  ramsey's extraction
         stages pass contiguous pieces of projections whose whole was just
         checked, and a subsequence of a general-position sequence is in
         general position.

@@ -4,7 +4,8 @@ Curves are maps from a rational parameter interval into R^d with exact
 rational values, so every downstream orientation test stays exact.  The
 sampler places one parameter per length-(eps/2) cell with a seeded rational
 jitter and maintains general position incrementally, retrying inside the
-cell when a sample would create a degeneracy.
+cell when a sample would create a degeneracy, with O(i^(d-1)) integer
+directions for the i-th point in R^d.
 """
 
 from __future__ import annotations
@@ -181,11 +182,11 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
     point would break general position, and SamplingError is raised after
     max_retries failures in one cell.
 
-    General position is certified once, as the points arrive: the k-th
-    accepted point costs k integer directions in IncrementalGeneralPosition,
-    so n points take one pass of C(n, 2) directions and, in the plane, O(n)
-    memory.  The returned path reuses that certificate instead of checking
-    its vertices again.
+    General position is certified once, as the points arrive, by
+    IncrementalGeneralPosition: n points take C(n, 2) + ... + C(n, d)
+    integer directions, one pass of C(n, 2) in the plane, and O(n)
+    memory.  The returned path reuses that certificate instead of
+    checking its vertices again.
     """
     eps = as_rational(eps)
     if eps <= 0:

@@ -17,11 +17,13 @@ instead, in every dimension: a base determinant and the per-row step
 on integer quotients of the rows above.  Homogeneity, general position
 and greedy block extension all run on it.  ``PointSeq.orientation_of``
 memoizes single tuples for callers that ask for them one at a time.
+Beyond that certificate, both general-position checks run one recursion,
+``_least_dependent``: rows mod one row at a time down to rank 2, where
+``_direction`` hashes parallel rows; O(n^d) directions in R^d.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -428,19 +430,17 @@ def project(seq: PointSeq, k: int) -> PointSeq:
 
 
 def _direction(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
-    """Canonical direction of the line through two points; None when they
-    coincide.
+    """Canonical primitive direction of q modulo the nonzero vector p; None
+    when q is a multiple of p.
 
-    ``p`` and ``q`` are homogeneous rows (L, L*x) and (M, M*y) with L, M > 0
-    (see _hom_row), so L*q[1:] - M*p[1:] = L*M*(y - x) is a positive
-    multiple of y - x, computed without leaving the integers.  Divided by
-    its gcd and with its leading nonzero entry made positive, it is the
-    primitive integer vector along the line, the same tuple for either
-    order of p and q, and two pairs of points share it iff their lines
-    are parallel.
+    q mod p is _quotient's row, divided by its gcd with its leading nonzero
+    entry made positive; q and q' share it iff {p, q, q'} has rank 2.  On
+    homogeneous point rows (L, L*x) and (M, M*y), L, M > 0 (_hom_row), it
+    is L*M*(y - x) made primitive: the direction of the line through the
+    two points, the same for either order and None iff they coincide.
     """
     l, m = p[0], q[0]
-    if len(p) == 3:
+    if l and len(p) == 3:
         x = l * q[1] - m * p[1]
         y = l * q[2] - m * p[2]
         if not (x or y):
@@ -449,7 +449,7 @@ def _direction(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
         if x < 0 or (x == 0 and y < 0):
             g = -g
         return (x // g, y // g)
-    v = [l * b - m * a for a, b in zip(p[1:], q[1:])]
+    (v,), _ = _quotient((q,), p)
     g = math.gcd(*v)
     if g == 0:
         return None
@@ -458,73 +458,75 @@ def _direction(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
     return tuple(c // g for c in v)
 
 
-def _duplicate_witness(seq: PointSeq) -> tuple[int, int] | None:
-    seen: dict[Point, int] = {}
-    for i, p in enumerate(seq.points):
-        j = seen.setdefault(p, i)
-        if j != i:
-            return (j, i)
-    return None
+def _equal_pair(keys: Iterable, first: bool = False
+                ) -> tuple[int, int] | None:
+    """The lexicographically least pair of positions i < j with equal keys,
+    or None.  With ``first``, the pair with the least j instead, i being
+    the first position with that key."""
+    seen: dict = {}
+    best = None
+    for j, key in enumerate(keys):
+        i = seen.setdefault(key, j)
+        if i != j and (best is None or i < best[0]):
+            if first:
+                return (i, j)
+            best = (i, j)
+    return best
 
 
-def _collinear_witness(seq: PointSeq) -> tuple[int, int, int] | None:
-    # A collinear triple {a, b, c} (a < b < c) collides as equal directions
-    # out of its least element; one hash pass per anchor beats enumerating
-    # all C(n,3) triples.
-    hom = seq._hom
-    n = len(hom)
-    for a in range(n - 2):
-        seen: dict[tuple[int, ...], int] = {}
-        for b in range(a + 1, n):
-            d = _direction(hom[a], hom[b])
-            other = seen.setdefault(d, b)
-            if other != b:
-                return (a, other, b)
+def _least_dependent(rows: Sequence[Sequence[int]], size: int,
+                     first: bool = False) -> tuple[int, ...] | None:
+    """The lexicographically least linearly dependent size-subset of the
+    integer vectors ``rows`` (3 <= size <= their length), or None, given
+    that no smaller subset is dependent.
+
+    A subset with least member v_a != 0 is dependent iff its other members
+    are mod v_a (_quotient).  So the anchors run in ascending order and
+    recurse on the later rows mod v_a; at size 3, two of those are
+    dependent iff they share a _direction out of v_a.  With ``first``, a
+    size-3 anchor's pair is the one with the least last index instead.
+    On m rows that is at most C(m, size-1) directions.
+    """
+    for a in range(len(rows) - size + 1):
+        v, rest = rows[a], rows[a + 1:]
+        if size == 3:
+            wit = _equal_pair(map(_direction, [v] * len(rest), rest), first)
+        else:
+            wit = _least_dependent(_quotient(rest, v)[0], size - 1)
+        if wit is not None:
+            return (a, *map((a + 1).__add__, wit))
     return None
 
 
 def is_general_position(seq: PointSeq) -> GeneralPositionReport:
     """Check that every subset of <= dim+1 points is affinely independent.
 
-    On failure the witness is a minimal dependent subset (no proper subset
-    of it is dependent), found deterministically.
+    On failure the witness is a minimal dependent subset: the duplicate
+    pair with the least second index, else the collinear triple with the
+    least first, then least last index, else the lexicographically least
+    dependent subset of the least size.
 
     A homogeneous sequence is certified first by _alternating on its
     rows, with O(n^(d-1)) determinants (at most 3 * C(n, 2) in R^3) for
     d >= 2 and n >= d+1.  Proof: alternating rows give every
     (d+1)-subset a nonzero determinant, so it is affinely independent,
-    and each smaller subset lies inside one of them.  Any other sequence
-    takes the full scan below.
+    and each smaller subset lies inside one of them.  Otherwise points
+    are hashed for duplicates, and each size 3..d+1 takes
+    _least_dependent on the rows: O(n^d) directions, matching the
+    Omega(n^d) lower bound for affine degeneracy (Erickson and Seidel,
+    1995).
     """
     n = len(seq)
     if seq.dim >= 2 and n > seq.dim:
         sign = _alternating(seq._hom)
         if sign:
             return GeneralPositionReport(True, sign=sign)
-    dup = _duplicate_witness(seq)
-    if dup is not None:
-        return GeneralPositionReport(False, dup)
-    if seq.dim == 1:
-        return GeneralPositionReport(True)
-    tri = _collinear_witness(seq)
-    if tri is not None:
-        return GeneralPositionReport(False, tri)
-    hom = seq._hom
-    d = seq.dim
-    for size in range(4, min(n, d) + 1):
-        for idx in itertools.combinations(range(n), size):
-            if _rank([hom[i] for i in idx]) < size:
-                return GeneralPositionReport(False, idx)
-    if d >= 3:
-        # The (d+1)-tuples in lexicographic order, D-first: D then every
-        # later i, one cofactor vector per D.
-        for D in itertools.combinations(range(n - 1), d):
-            top = D[-1] + 1
-            vals = _dots(_cofactors([hom[j] for j in D]), hom[top:])
-            if 0 in vals:
-                return GeneralPositionReport(False,
-                                             D + (top + vals.index(0),))
-    return GeneralPositionReport(True)
+    wit = _equal_pair(seq.points, first=True)
+    for size in range(3, seq.dim + 2):
+        if wit is not None:
+            break
+        wit = _least_dependent(seq._hom, size, first=size == 3)
+    return GeneralPositionReport(wit is None, wit)
 
 
 class IncrementalGeneralPosition:
@@ -544,39 +546,32 @@ class IncrementalGeneralPosition:
     def try_add(self, p: Point) -> tuple[int, ...] | None:
         """Check the subsets of <= dim+1 points whose last point is p.
 
-        The i-th point costs i integer directions, one per earlier point a,
-        and O(i) transient memory.  A direction of None is the duplicate
-        pair (a, i), returned at the least a.  From dimension 2 up, {a, b, i}
-        is collinear iff dir(a->i) == dir(b->i).  The committed points are
-        in general position, so each line through the new point holds at
-        most two of them; the colliding pairs are disjoint, and the least
-        one (a, b) gives (a, b, i), the lexicographically least collinear
-        triple ending at i.  Subsets of 4..dim+1 points follow in
-        lexicographic order, by orientation or rank.
+        A point of another length raises DimensionMismatchError.  The
+        i-th point takes one integer direction out of it per earlier point
+        a.  None is the duplicate pair (a, i).  From dimension 2 up,
+        {a, b, i} is collinear iff dir(a) == dir(b); the committed points
+        are in general position, so the colliding pairs are disjoint and
+        the least one gives the lexicographically least triple.  A larger
+        S + {i} is dependent iff S is mod the new row, and the directions
+        are those rows made primitive, so _least_dependent on them gives
+        the least subset of each size 4..dim+1, with C(i, 2) ..
+        C(i, dim-1) more directions: O(i^(dim-1)) per point.
         """
+        if len(p) != self.dim:
+            raise DimensionMismatchError(
+                f"point of length {len(p)} in a dim-{self.dim} set")
         i = len(self._hom)
         hom = _hom_row(p)
-        seen: dict[tuple[int, ...], int] = {}
-        collinear: tuple[int, int, int] | None = None
-        for a, row in enumerate(self._hom):
-            d = _direction(row, hom)
-            if d is None:
-                return (a, i)
-            if self.dim >= 2:
-                b = seen.setdefault(d, a)
-                if b != a and (collinear is None or b < collinear[0]):
-                    collinear = (b, a, i)
-        if collinear is not None:
-            return collinear
-        for size in range(4, self.dim + 2):
-            full = size == self.dim + 1
-            for idx in itertools.combinations(range(i), size - 1):
-                rows = [self._hom[j] for j in idx] + [hom]
-                if full:
-                    if _det_sign(rows) == 0:
-                        return idx + (i,)
-                elif _rank(rows) < size:
-                    return idx + (i,)
+        dirs = list(map(_direction, [hom] * i, self._hom))
+        if None in dirs:
+            return (dirs.index(None), i)
+        wit = _equal_pair(dirs) if self.dim >= 2 else None
+        for size in range(3, self.dim + 1):
+            if wit is not None:
+                break
+            wit = _least_dependent(dirs, size)
+        if wit is not None:
+            return wit + (i,)
         self.points.append(p)
         self._hom.append(hom)
         return None

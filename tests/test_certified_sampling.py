@@ -1,31 +1,40 @@
 """Integer general-position sampling, certified once, against the paths it
 replaced.
 
-``_direction`` works on integer homogeneous rows, ``try_add`` finds
-collinear triples from the new point's own directions, ``epsilon_sample``
-hands its certified points to ``PolyPath`` without a second check, and
-greedy extension returns its own rejection witness.  The oracles below
-are the replaced versions: the ``Fraction`` direction, the ``try_add``
-that kept a dictionary of directions per earlier point, and the greedy
-partition that searched for each witness again after the extension loop.
+``_direction`` works on integer rows, ``try_add`` finds collinear triples
+from the new point's own directions and larger dependent subsets by
+``_least_dependent`` on them, ``epsilon_sample`` hands its certified
+points to ``PolyPath`` without a second check, and greedy extension
+returns its own rejection witness.  The oracles below are the replaced
+versions: the ``Fraction`` direction, the ``try_add`` that kept a
+dictionary of directions per earlier point and tested each larger subset
+by rank or determinant, and the greedy partition that searched for each
+witness again after the extension loop.
 """
 
+import io
 import itertools
+import json
 import math
 import random
+import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexsplit import exactgeom, kseq
+from convexsplit import cli, exactgeom, kseq
 from convexsplit.crossing import PolyPath
 from convexsplit.curves import builtin, epsilon_sample
-from convexsplit.exactgeom import (IncrementalGeneralPosition, _det_sign,
-                                   _hom_row, _rank, as_point,
-                                   is_general_position, point_seq)
+from convexsplit.exactgeom import (DimensionMismatchError,
+                                   IncrementalGeneralPosition, _det_sign,
+                                   _direction, _hom_row, _least_dependent,
+                                   _rank, as_point, is_general_position,
+                                   point_seq)
 from convexsplit.kseq import KSequence, from_points, from_table
+from test_cofactor_kernel import count_calls
 
 
 def fraction_direction(p, q):
@@ -155,7 +164,7 @@ def point_pairs(draw):
 @st.composite
 def streams(draw, dim):
     """Small grid or rational points: duplicates, collinear triples and,
-    in R^3, coplanar quadruples are common."""
+    from R^3 up, coplanar quadruples are common."""
     coord = st.one_of(st.integers(0, 4),
                       st.fractions(min_value=0, max_value=4,
                                    max_denominator=3))
@@ -171,6 +180,29 @@ class TestIntegerDirection:
         got = exactgeom._direction(_hom_row(p), _hom_row(q))
         assert got == fraction_direction(p, q)
         assert exactgeom._direction(_hom_row(q), _hom_row(p)) == got
+
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_direction_out_of_any_vector(self, r, data):
+        # Pivots anywhere and of either sign: q and q' share a direction
+        # out of p iff {p, q, q'} has rank 2.
+        small = st.integers(-3, 3)
+        lead = data.draw(st.integers(0, r - 1))
+        p = [0] * lead + data.draw(st.lists(small, min_size=r - lead,
+                                            max_size=r - lead))
+        if not any(p):
+            p[lead] = data.draw(st.sampled_from((-2, -1, 1, 2)))
+        q, q2 = (data.draw(st.lists(small, min_size=r, max_size=r))
+                 for _ in range(2))
+        if data.draw(st.booleans()):
+            # q2 = a*q + b*p, so rank 2 unless a == 0
+            a, b = data.draw(small), data.draw(small)
+            q2 = [a * x + b * y for x, y in zip(q, p)]
+        dq, dq2 = _direction(p, q), _direction(p, q2)
+        assert (dq is None) == (_rank([p, q]) < 2)
+        assert (dq2 is None) == (_rank([p, q2]) < 2)
+        if dq is not None and dq2 is not None:
+            assert (dq == dq2) == (_rank([p, q, q2]) == 2)
 
     def test_uses_no_fraction_arithmetic(self, monkeypatch):
         def forbidden(*args):
@@ -201,10 +233,24 @@ class TestIncrementalWitnesses:
     def test_spatial_stream(self, rows):
         self._compare(rows, 3)
 
+    @given(streams(4))
+    @settings(max_examples=100, deadline=None)
+    def test_four_space_stream(self, rows):
+        self._compare(rows, 4)
+
     @given(streams(1))
     @settings(max_examples=60, deadline=None)
     def test_line_stream(self, rows):
         self._compare(rows, 1)
+
+    @pytest.mark.parametrize("p", [(1, 1, 1), (1,)])
+    def test_point_of_another_length(self, p):
+        gp = IncrementalGeneralPosition(2)
+        assert gp.try_add(as_point((0, 0))) is None
+        with pytest.raises(DimensionMismatchError):
+            gp.try_add(as_point(p))
+        assert gp.points == [as_point((0, 0))]
+        assert gp._hom == [(1, 0, 0)]
 
     def test_least_colliding_pair_wins(self):
         # the new point (2, 2) closes two collinear triples, {1, 2, 4} and
@@ -214,6 +260,32 @@ class TestIncrementalWitnesses:
         for p in pts:
             assert new.try_add(as_point(p)) is None
         assert new.try_add(as_point((2, 2))) == (0, 3, 4)
+
+
+def brute_least_dependent(rows, size):
+    """Reference: the lexicographically least size-subset of rank below
+    size, by elimination on every subset."""
+    return next((idx for idx in itertools.combinations(range(len(rows)), size)
+                 if _rank([rows[i] for i in idx]) < size), None)
+
+
+class TestLeastDependent:
+    @given(st.integers(3, 5), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_subset_scan(self, r, data):
+        # Random small vectors, so dependent subsets of every size occur;
+        # compare at the least size with a dependent subset.
+        rows = data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+            min_size=3, max_size=9))
+        for size in range(1, r + 1):
+            wit = brute_least_dependent(rows, size)
+            if wit is not None:
+                break
+        else:
+            size = r
+        if size >= 3:
+            assert _least_dependent(rows, size) == wit
 
 
 curve_choices = st.one_of(
@@ -304,6 +376,66 @@ class TestCounters:
         # the points and their homogeneous rows, plus the dimension
         assert (leaves(list(vars(gp).values()))
                 == n * dim + n * (dim + 1) + 1)
+
+
+def random_points(n, d):
+    rng = random.Random(7)
+    return [tuple(rng.randrange(10 ** 6) for _ in range(d))
+            for _ in range(n)]
+
+
+class TestQuotientCounters:
+    # Random points are in general position but not convex, so the
+    # alternating certificate fails and every size is hashed.
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        return {name: count_calls(monkeypatch, exactgeom, name)
+                for name in ("_direction", "_cofactors", "_rank")}
+
+    @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])
+    def test_batch_hashes_each_size_once(self, d, n, counted):
+        report = is_general_position(point_seq(random_points(n, d)))
+        assert report and report.sign == 0
+        bound = sum(math.comb(n, k) for k in range(2, d + 1))
+        assert 0 < len(counted["_direction"]) <= bound
+        assert counted["_cofactors"] == counted["_rank"] == []
+
+    @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])
+    def test_stream_hashes_each_size_once(self, d, n, counted):
+        gp = IncrementalGeneralPosition(d)
+        for p in random_points(n, d):
+            assert gp.try_add(as_point(p)) is None
+        bound = sum(math.comb(n, k) for k in range(2, d + 1))
+        assert 0 < len(counted["_direction"]) <= bound
+        assert counted["_cofactors"] == counted["_rank"] == []
+
+
+def run_cli(argv):
+    """In-process CLI run: exit code, report and seconds taken."""
+    out = io.StringIO()
+    started = time.perf_counter()
+    with redirect_stdout(out):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue()), time.perf_counter() - started
+
+
+class TestCost:
+    def test_verify_gp_on_100_random_spatial_points(self, tmp_path):
+        data = tmp_path / "points.csv"
+        data.write_text("".join(",".join(map(str, p)) + "\n"
+                                for p in random_points(100, 3)),
+                        encoding="utf-8")
+        code, report, elapsed = run_cli(["verify-gp", "--input", str(data)])
+        assert code == 0
+        assert report["result"]["general_position"] is True
+        assert elapsed < 2.0
+
+    def test_sample_moment_curve_in_four_space(self):
+        code, report, elapsed = run_cli(
+            ["sample", "--curve", "moment", "--dim", "4", "--eps", "1/16"])
+        assert code == 0
+        assert report["result"]["n"] == 32
+        assert elapsed < 2.0
 
 
 class TestExtensionWitnesses:

@@ -3,14 +3,16 @@ replaced.
 
 ``_cofactors`` gives the vector c(D) with c(D) . x = det(D + [x]), so an
 exhaustive orientation scan computes c(D) once per d-subset D and one dot
-product per other point.  ``sign_sequence``, the homogeneity scan and
-the size-(d+1) pass of ``is_general_position`` now run that way;
-``max_crossings`` and ``is_flip`` did until they swept pencils instead
-(see test_pencil_sweep.py and test_flip_sweep.py).  The oracles below
-are the replaced tuple-first versions, with every orientation decided by
-Bareiss elimination on the full (d+1)x(d+1) matrix.  Reports, witnesses and raised
-errors (type, message and witness) must agree exactly, on general-position
-and degenerate input alike.
+product per other point.  ``sign_sequence`` and the homogeneity scan
+now run that way; ``max_crossings`` and ``is_flip`` did until they swept
+pencils instead (see test_pencil_sweep.py and test_flip_sweep.py), and
+``is_general_position`` did until one quotient recursion over direction
+hashes replaced all of its passes.  The oracles below are the replaced
+tuple-first versions, with every orientation decided by Bareiss
+elimination on the full (d+1)x(d+1) matrix; ``old_is_general_position``
+keeps the duplicate and collinear hash passes it ran first.  Reports,
+witnesses and raised errors (type, message and witness) must agree
+exactly, on general-position and degenerate input alike.
 """
 
 import itertools
@@ -27,10 +29,10 @@ from convexsplit.crossing import (CrossingReport, CrossingWitness, PolyPath,
                                   max_crossings)
 from convexsplit.exactgeom import (GeneralPositionError,
                                    GeneralPositionReport, Hyperplane,
-                                   PointSeq, _bareiss_det, _cofactors,
-                                   _collinear_witness, _det_sign,
-                                   _duplicate_witness, _hom_row, _rank,
-                                   as_point, is_general_position, point_seq,
+                                   Point, PointSeq, _bareiss_det,
+                                   _cofactors, _det_sign, _direction,
+                                   _hom_row, _rank, as_point,
+                                   is_general_position, point_seq,
                                    span_hyperplane)
 from convexsplit.ordertype import (FlipReport, SignSeq, count_sign_changes,
                                    is_flip, is_order_type_homogeneous,
@@ -81,6 +83,31 @@ def old_is_flip(seq):
         if count_sign_changes(ss) > 1:
             return FlipReport(False, witness=ss)
     return FlipReport(True)
+
+
+def _duplicate_witness(seq: PointSeq) -> tuple[int, int] | None:
+    seen: dict[Point, int] = {}
+    for i, p in enumerate(seq.points):
+        j = seen.setdefault(p, i)
+        if j != i:
+            return (j, i)
+    return None
+
+
+def _collinear_witness(seq: PointSeq) -> tuple[int, int, int] | None:
+    # A collinear triple {a, b, c} (a < b < c) collides as equal directions
+    # out of its least element; one hash pass per anchor beats enumerating
+    # all C(n,3) triples.
+    hom = seq._hom
+    n = len(hom)
+    for a in range(n - 2):
+        seen: dict[tuple[int, ...], int] = {}
+        for b in range(a + 1, n):
+            d = _direction(hom[a], hom[b])
+            other = seen.setdefault(d, b)
+            if other != b:
+                return (a, other, b)
+    return None
 
 
 def old_is_general_position(seq):
