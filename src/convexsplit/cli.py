@@ -628,6 +628,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
     try:
+        # A negative budget is a usage error, not a budget every input
+        # exceeds.
+        if args.oracle_budget < 0:
+            raise ParseFailure("--oracle-budget must be >= 0, "
+                               f"got {args.oracle_budget}")
         return args.func(args)
     except ParseFailure as exc:
         print(f"convexsplit: error: {exc}", file=sys.stderr)

@@ -4,8 +4,9 @@ Curves are maps from a rational parameter interval into R^d with exact
 rational values, so every downstream orientation test stays exact.  The
 sampler places one parameter per length-(eps/2) cell with a seeded rational
 jitter and maintains general position incrementally, retrying inside the
-cell when a sample would create a degeneracy, with O(i^(d-1)) integer
-directions for the i-th point in R^d.
+cell when a sample would create a degeneracy, with O(i^(d-1)) rank-2
+tests for the i-th point in R^d: integer slope keys in the plane, and
+exact integer directions where those do not settle a point.
 """
 
 from __future__ import annotations
@@ -184,9 +185,11 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
 
     General position is certified once, as the points arrive, by
     IncrementalGeneralPosition: n points take C(n, 2) + ... + C(n, d)
-    integer directions, one pass of C(n, 2) in the plane, and O(n)
-    memory.  The returned path reuses that certificate instead of
-    checking its vertices again.
+    rank-2 tests and O(n) memory.  In the plane that is one integer slope
+    key per pair, and exact directions are hashed only for a point whose
+    keys collide, or that is vertically above an earlier one.  The
+    returned path reuses that certificate instead of checking its
+    vertices again.
     """
     eps = as_rational(eps)
     if eps <= 0:

@@ -19,7 +19,10 @@ and greedy block extension all run on it.  ``PointSeq.orientation_of``
 memoizes single tuples for callers that ask for them one at a time.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
-``_direction`` hashes parallel rows; O(n^d) directions in R^d.
+parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
+test is first an integer slope key per row (``_slopes_distinct``), which
+can only accept; where it declines, ``_direction`` hashes exact
+primitive directions, so every witness comes from that hash.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ def as_rational(value) -> Fraction:
 
 
 def as_point(coords) -> Point:
-    return tuple(as_rational(c) for c in coords)
+    return tuple(map(as_rational, coords))
 
 
 def _hom_row(p: Point) -> tuple[int, ...]:
@@ -317,7 +320,7 @@ def _rank(rows: Sequence[Sequence[int]]) -> int:
 
 
 def affinely_independent(pts: Sequence[Point]) -> bool:
-    rows = [_hom_row(p) for p in pts]
+    rows = list(map(_hom_row, pts))
     return _rank(rows) == len(pts)
 
 
@@ -383,7 +386,7 @@ class PointSeq:
 
     @cached_property
     def _hom(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_hom_row(p) for p in self.points)
+        return tuple(map(_hom_row, self.points))
 
     @cached_property
     def _sign_cache(self) -> dict:
@@ -474,6 +477,33 @@ def _equal_pair(keys: Iterable, first: bool = False
     return best
 
 
+_KEY_BITS = 64
+
+
+def _slopes_distinct(v, rows):
+    """True only if no row is 0 mod v and no two rows are parallel mod v,
+    for 3-vectors with v[0] != 0.  False decides nothing.
+
+    With v = (l, p1, p2), a row w = (m, b, c) maps to (x, y) =
+    (l*b - m*p1, l*c - m*p2), _quotient's row, and its key is
+    floor(2^_KEY_BITS * y / x).  The key is a function of the slope y/x,
+    and parallel rows share their slope, so if every x is nonzero and the
+    keys are pairwise distinct, no row is 0 and no two are parallel.  Only
+    integers are used.  A vertical row, or two distinct slopes less than
+    2^-_KEY_BITS apart whose keys collide, sends the caller to the exact
+    _direction hash: _KEY_BITS changes how often that happens, never an
+    answer.
+    """
+    l, p1, p2 = v
+    keys = set()
+    for m, b, c in rows:
+        x = l * b - m * p1
+        if not x:
+            return False
+        keys.add(((l * c - m * p2) << _KEY_BITS) // x)
+    return len(keys) == len(rows)
+
+
 def _least_dependent(rows: Sequence[Sequence[int]], size: int,
                      first: bool = False) -> tuple[int, ...] | None:
     """The lexicographically least linearly dependent size-subset of the
@@ -485,11 +515,16 @@ def _least_dependent(rows: Sequence[Sequence[int]], size: int,
     recurse on the later rows mod v_a; at size 3, two of those are
     dependent iff they share a _direction out of v_a.  With ``first``, a
     size-3 anchor's pair is the one with the least last index instead.
-    On m rows that is at most C(m, size-1) directions.
+    On m rows that is at most C(m, size-1) directions.  For 3-vectors with
+    v_a[0] != 0, _slopes_distinct first certifies most anchors with one
+    integer key per row, and only the anchors it leaves open are hashed,
+    so every witness is the hash's.
     """
     for a in range(len(rows) - size + 1):
         v, rest = rows[a], rows[a + 1:]
         if size == 3:
+            if len(v) == 3 and v[0] and _slopes_distinct(v, rest):
+                continue
             wit = _equal_pair(map(_direction, [v] * len(rest), rest), first)
         else:
             wit = _least_dependent(_quotient(rest, v)[0], size - 1)
@@ -512,9 +547,12 @@ def is_general_position(seq: PointSeq) -> GeneralPositionReport:
     (d+1)-subset a nonzero determinant, so it is affinely independent,
     and each smaller subset lies inside one of them.  Otherwise points
     are hashed for duplicates, and each size 3..d+1 takes
-    _least_dependent on the rows: O(n^d) directions, matching the
+    _least_dependent on the rows: O(n^d) rank-2 tests, matching the
     Omega(n^d) lower bound for affine degeneracy (Erickson and Seidel,
-    1995).
+    1995).  At size d+1 the recursion reaches 3-vectors, where slope
+    keys settle each anchor that has no dependent pair, unless two keys
+    collide or a row is vertical, and only the rest are hashed as
+    directions.
     """
     n = len(seq)
     if seq.dim >= 2 and n > seq.dim:
@@ -546,32 +584,38 @@ class IncrementalGeneralPosition:
     def try_add(self, p: Point) -> tuple[int, ...] | None:
         """Check the subsets of <= dim+1 points whose last point is p.
 
-        A point of another length raises DimensionMismatchError.  The
-        i-th point takes one integer direction out of it per earlier point
-        a.  None is the duplicate pair (a, i).  From dimension 2 up,
-        {a, b, i} is collinear iff dir(a) == dir(b); the committed points
-        are in general position, so the colliding pairs are disjoint and
-        the least one gives the lexicographically least triple.  A larger
+        A point of another length raises DimensionMismatchError.  In the
+        plane, _slopes_distinct on the new row against the earlier rows
+        first accepts the point when their slopes out of it are pairwise
+        distinct and none is vertical: one integer key per earlier point,
+        no gcd.  Otherwise, and in every other dimension, the i-th point
+        takes one integer direction out of it per earlier point a.  None
+        is the duplicate pair (a, i).  From dimension 2 up, {a, b, i} is
+        collinear iff dir(a) == dir(b); the committed points are in
+        general position, so the colliding pairs are disjoint and the
+        least one gives the lexicographically least triple.  A larger
         S + {i} is dependent iff S is mod the new row, and the directions
         are those rows made primitive, so _least_dependent on them gives
         the least subset of each size 4..dim+1, with C(i, 2) ..
-        C(i, dim-1) more directions: O(i^(dim-1)) per point.
+        C(i, dim-1) more rank-2 tests: O(i^(dim-1)) per point.  The
+        witness always comes from the direction hash.
         """
         if len(p) != self.dim:
             raise DimensionMismatchError(
                 f"point of length {len(p)} in a dim-{self.dim} set")
         i = len(self._hom)
         hom = _hom_row(p)
-        dirs = list(map(_direction, [hom] * i, self._hom))
-        if None in dirs:
-            return (dirs.index(None), i)
-        wit = _equal_pair(dirs) if self.dim >= 2 else None
-        for size in range(3, self.dim + 1):
+        if not (self.dim == 2 and _slopes_distinct(hom, self._hom)):
+            dirs = list(map(_direction, [hom] * i, self._hom))
+            if None in dirs:
+                return (dirs.index(None), i)
+            wit = _equal_pair(dirs) if self.dim >= 2 else None
+            for size in range(3, self.dim + 1):
+                if wit is not None:
+                    break
+                wit = _least_dependent(dirs, size)
             if wit is not None:
-                break
-            wit = _least_dependent(dirs, size)
-        if wit is not None:
-            return wit + (i,)
+                return wit + (i,)
         self.points.append(p)
         self._hom.append(hom)
         return None

@@ -3,7 +3,8 @@ replaced.
 
 ``_direction`` works on integer rows, ``try_add`` finds collinear triples
 from the new point's own directions and larger dependent subsets by
-``_least_dependent`` on them, ``epsilon_sample`` hands its certified
+``_least_dependent`` on them, ``_slopes_distinct`` settles most rank-2
+steps before any direction is hashed, ``epsilon_sample`` hands its certified
 points to ``PolyPath`` without a second check, and greedy extension
 returns its own rejection witness.  The oracles below are the replaced
 versions: the ``Fraction`` direction, the ``try_add`` that kept a
@@ -28,11 +29,11 @@ from hypothesis import strategies as st
 from convexsplit import cli, exactgeom, kseq
 from convexsplit.crossing import PolyPath
 from convexsplit.curves import builtin, epsilon_sample
-from convexsplit.exactgeom import (DimensionMismatchError,
+from convexsplit.exactgeom import (_KEY_BITS, DimensionMismatchError,
                                    IncrementalGeneralPosition, _det_sign,
-                                   _direction, _hom_row, _least_dependent,
-                                   _rank, as_point, is_general_position,
-                                   point_seq)
+                                   _direction, _equal_pair, _hom_row,
+                                   _least_dependent, _rank, _slopes_distinct,
+                                   as_point, is_general_position, point_seq)
 from convexsplit.kseq import KSequence, from_points, from_table
 from test_cofactor_kernel import count_calls
 
@@ -288,6 +289,82 @@ class TestLeastDependent:
             assert _least_dependent(rows, size) == wit
 
 
+def hashed_pair(v, rows):
+    """The exact rank-2 step that _slopes_distinct stands in front of."""
+    return _equal_pair(map(_direction, [v] * len(rows), rows))
+
+
+small_rows = st.lists(st.tuples(*[st.integers(-9, 9)] * 3), max_size=8)
+
+
+@st.composite
+def anchored_rows(draw):
+    """An anchor v with v[0] != 0 of either sign, and 3-vectors that are
+    often 0 or parallel mod v: multiples of v, of each other, or both."""
+    v = draw(st.tuples(st.integers(-9, 9).filter(bool),
+                       st.integers(-9, 9), st.integers(-9, 9)))
+    rows = draw(small_rows)
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        w = draw(st.sampled_from(rows)) if rows else v
+        rows.insert(draw(st.integers(0, len(rows))),
+                    tuple(a * x + b * y for x, y in zip(w, v)))
+    return v, rows
+
+
+class TestSlopeCertificate:
+    """_slopes_distinct may only accept: whenever it does, the exact
+    direction hash finds no pair."""
+
+    @given(anchored_rows())
+    @settings(max_examples=500, deadline=None)
+    def test_accepts_only_what_the_hash_accepts(self, case):
+        v, rows = case
+        if _slopes_distinct(v, rows):
+            assert hashed_pair(v, rows) is None
+
+    @pytest.mark.parametrize("pts,witness", [
+        ([(0, 0), (1, 1), (0, 1)], None),              # vertical, x = 0
+        ([(1, 2), (3, 5), (1, 2)], (0, 2)),            # duplicate
+        ([(0, 0), (1, 1), (2, 2)], (0, 1, 2)),         # beyond both
+        ([(0, 0), (2, 2), (1, 1)], (0, 1, 2)),         # between, opposite
+        ([(5, 1), (0, 0), (-5, -1)], (0, 1, 2)),
+    ])
+    def test_crafted_point_streams(self, pts, witness):
+        # the certificate declines each last point; the exact hash decides
+        hom = [_hom_row(as_point(p)) for p in pts]
+        assert not _slopes_distinct(hom[-1], hom[:-1])
+        gp = IncrementalGeneralPosition(2)
+        got = [gp.try_add(as_point(p)) for p in pts]
+        assert got[:-1] == [None] * (len(pts) - 1)
+        assert got[-1] == witness
+        assert bool(is_general_position(point_seq(pts))) == (witness is None)
+
+    def test_negative_anchor(self):
+        # quotient rows at deeper levels lead with either sign
+        v, w = (-2, 1, 3), (1, 0, 0)
+        dependent = tuple(3 * x + 5 * y for x, y in zip(w, v))
+        free = (1, 0, 1)
+        assert not _slopes_distinct(v, [w, dependent])
+        assert hashed_pair(v, [w, dependent]) == (0, 1)
+        assert _slopes_distinct(v, [w, free])
+        assert _least_dependent([v, w, dependent], 3) == (0, 1, 2)
+        assert _least_dependent([v, w, free], 3) is None
+
+    def test_key_collision_falls_back(self):
+        # slopes 0 and 2^-(K+1) share the key 0 with no dependency: the
+        # certificate declines and the exact hash accepts
+        far = 2 ** (_KEY_BITS + 1)
+        pts = [(1, 0), (far, 1), (0, 0)]
+        hom = [_hom_row(as_point(p)) for p in pts]
+        assert not _slopes_distinct(hom[-1], hom[:-1])
+        assert hashed_pair(hom[-1], hom[:-1]) is None
+        gp = IncrementalGeneralPosition(2)
+        assert [gp.try_add(as_point(p)) for p in pts] == [None] * 3
+        assert is_general_position(point_seq(pts[::-1]))
+        assert _least_dependent(hom[::-1], 3) is None
+
+
 curve_choices = st.one_of(
     st.just((builtin("quintic"), (Fraction(1, 8), Fraction(1, 20)))),
     st.builds(lambda dents, den: (
@@ -328,20 +405,17 @@ def quintic_100():
 
 
 class TestCounters:
-    def test_sampler_makes_one_direction_per_pair(self, quintic_100,
-                                                  monkeypatch):
-        calls = [0]
-        direction = exactgeom._direction
-
-        def counting(p, q):
-            calls[0] += 1
-            return direction(p, q)
-
-        monkeypatch.setattr(exactgeom, "_direction", counting)
+    def test_sampler_certifies_each_point_without_directions(
+            self, quintic_100, monkeypatch):
+        # one slope-key pass per point settles it, so no direction is
+        # hashed
+        directions = count_calls(monkeypatch, exactgeom, "_direction")
+        certified = count_calls(monkeypatch, exactgeom, "_slopes_distinct")
         sample = epsilon_sample(*quintic_100)
         assert len(sample.path.seq) == 400
         assert sample.retries == 0
-        assert calls[0] == 400 * 399 // 2
+        assert directions == []
+        assert len(certified) == 400
 
     def test_greedy_on_sample_makes_no_sign_at_calls(self, quintic_100,
                                                       monkeypatch):
@@ -387,27 +461,42 @@ def random_points(n, d):
 class TestQuotientCounters:
     # Random points are in general position but not convex, so the
     # alternating certificate fails and every size is hashed.
+    # Each rank-2 step costs one slope key per row, or one direction per
+    # row where the certificate declines, so keys and directions together
+    # stay within the sum of C(n, k).
     @pytest.fixture
     def counted(self, monkeypatch):
-        return {name: count_calls(monkeypatch, exactgeom, name)
-                for name in ("_direction", "_cofactors", "_rank")}
+        counted = {name: count_calls(monkeypatch, exactgeom, name)
+                   for name in ("_direction", "_cofactors", "_rank")}
+        keys = counted["keys"] = []
+        certify = exactgeom._slopes_distinct
+
+        def counting(v, rows):
+            keys.append(len(rows))
+            return certify(v, rows)
+
+        monkeypatch.setattr(exactgeom, "_slopes_distinct", counting)
+        return counted
+
+    @staticmethod
+    def _check(counted, d, n):
+        bound = sum(math.comb(n, k) for k in range(2, d + 1))
+        assert counted["keys"]
+        assert sum(counted["keys"]) + len(counted["_direction"]) <= bound
+        assert counted["_cofactors"] == counted["_rank"] == []
 
     @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])
     def test_batch_hashes_each_size_once(self, d, n, counted):
         report = is_general_position(point_seq(random_points(n, d)))
         assert report and report.sign == 0
-        bound = sum(math.comb(n, k) for k in range(2, d + 1))
-        assert 0 < len(counted["_direction"]) <= bound
-        assert counted["_cofactors"] == counted["_rank"] == []
+        self._check(counted, d, n)
 
     @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])
     def test_stream_hashes_each_size_once(self, d, n, counted):
         gp = IncrementalGeneralPosition(d)
         for p in random_points(n, d):
             assert gp.try_add(as_point(p)) is None
-        bound = sum(math.comb(n, k) for k in range(2, d + 1))
-        assert 0 < len(counted["_direction"]) <= bound
-        assert counted["_cofactors"] == counted["_rank"] == []
+        self._check(counted, d, n)
 
 
 def run_cli(argv):
@@ -429,6 +518,14 @@ class TestCost:
         assert code == 0
         assert report["result"]["general_position"] is True
         assert elapsed < 2.0
+
+    def test_decompose_curve_quintic_at_eps_1_200(self):
+        code, report, elapsed = run_cli(
+            ["decompose-curve", "--curve", "quintic", "--eps", "1/200"])
+        assert code == 0
+        assert report["result"]["n"] == 800
+        assert report["result"]["pieces"] == 4
+        assert elapsed < 0.7
 
     def test_sample_moment_curve_in_four_space(self):
         code, report, elapsed = run_cli(

@@ -128,6 +128,28 @@ class TestParsing:
         assert out == ""
         assert err.startswith("convexsplit: error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["crossings", "--input", "-"],
+        ["ramsey", "--input", "-"],
+        ["decompose-curve", "--curve", "quintic", "--eps", "1/5"],
+    ])
+    @pytest.mark.parametrize("budget", ["-1", "x"])
+    def test_bad_oracle_budget_is_a_parse_error(self, argv, budget, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(ZIGZAG_CSV))
+        code = main(argv + ["--oracle-budget", budget])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--oracle-budget" in err
+
+    def test_zero_oracle_budget_is_a_budget(self, run, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(ZIGZAG_CSV))
+        code, report = run(["crossings", "--input", "-",
+                            "--oracle-budget", "0"])
+        assert code == 4
+        assert report["error"]["type"] == "budget"
+
     def test_csv_and_json_inputs_agree(self, run, tmp_path):
         csv = write(tmp_path, "p.csv", "# a comment\n" + ZIGZAG_CSV)
         obj = {"dim": 2, "points": [["0", "0"], ["1", "1"],
