@@ -1,5 +1,9 @@
 """Command-line interface: deterministic JSON reports and 2-D SVG plots.
 
+Each subcommand takes only the flags it reads; any other flag is a usage
+error.  main builds the Reporter before any input is read, so an error
+report also carries its command's config and times it from dispatch.
+
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
 (witness included in the report), 4 oracle budget exceeded.  Reports are
 byte-identical for identical config and seed, except for the timing field.
@@ -50,7 +54,6 @@ class BudgetExceeded(Exception):
         super().__init__(
             f"{what} needs n <= --oracle-budget ({budget}), got n = {n}")
         self.n = n
-        self.budget = budget
 
 
 def _rat(x) -> int | str:
@@ -72,20 +75,37 @@ def _parse_rational(tok: str) -> Fraction:
 
 
 def _read_source(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseFailure(f"cannot read {path}: {exc}") from exc
 
 
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParseFailure(f"cannot write {path}: {exc}") from exc
+
+
 def _load_json(text: str):
+    # ValueError also covers integers past CPython's digit limit, and
+    # RecursionError arrays or objects nested too deeply to decode.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseFailure(f"invalid JSON input: {exc}") from exc
+
+
+def _load_table(text: str):
+    try:
+        return from_json_dict(_load_json(text))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseFailure(f"invalid sign-table JSON: {exc}") from exc
 
 
 def _parse_json_row(row) -> list[Fraction]:
@@ -141,35 +161,26 @@ def parse_points_text(text: str, expected_dim: int | None) -> PointSeq:
     return point_seq(parsed, dim=dim)
 
 
-def load_points(args) -> PointSeq:
-    if not args.input:
-        raise ParseFailure("this command needs --input (use - for stdin)")
-    return parse_points_text(_read_source(args.input), args.dim)
-
-
-def load_curve(args) -> CurveSpec:
-    """Curve from --curve plus flags, or --input JSON {"curve": name, ...}."""
+def load_curve(args) -> tuple[CurveSpec, Fraction]:
+    """Curve from --curve plus flags, or --input JSON {"curve": name, ...},
+    and the positive --eps to sample it at."""
+    flags = {"d": args.dim, "dents": args.dents, "depth": args.depth,
+             "coeffs": args.coeffs, "domain": args.domain}
+    params = {key: val for key, val in flags.items() if val is not None}
     if args.curve:
         name = args.curve
-        params = {}
-        if args.dim is not None:
-            params["d"] = args.dim
-        if args.dents is not None:
-            params["dents"] = args.dents
-        if args.depth is not None:
-            params["depth"] = args.depth
-        if args.coeffs is not None:
-            params["coeffs"] = _load_json(args.coeffs)
-        if args.domain is not None:
-            params["domain"] = _load_json(args.domain)
-    elif args.input:
+        for key in ("coeffs", "domain"):
+            if key in params:
+                params[key] = _load_json(params[key])
+    elif params:
+        raise ParseFailure("--dim, --dents, --depth, --coeffs and --domain "
+                           "go with --curve, not with --input")
+    else:
         obj = _load_json(_read_source(args.input))
         if not isinstance(obj, dict) or "curve" not in obj:
             raise ParseFailure('curve JSON needs a "curve" key')
         params = dict(obj)
         name = params.pop("curve")
-    else:
-        raise ParseFailure("this command needs --curve or --input")
     for key in ("d", "dents"):
         val = params.get(key)
         if key in params and (isinstance(val, bool)
@@ -192,13 +203,18 @@ def load_curve(args) -> CurveSpec:
     elif "domain" in params:
         del params["domain"]
     try:
-        return builtin(name, **params)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        curve = builtin(name, **params)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise ParseFailure(f"invalid curve: {exc}") from exc
+    eps = _parse_rational(args.eps)
+    if eps <= 0:
+        raise ParseFailure("--eps must be positive")
+    return curve, eps
 
 
-def _curve_config(curve: CurveSpec) -> dict:
-    cfg = {"curve": curve.name}
+def _curve_config(args, curve: CurveSpec, eps: Fraction) -> dict:
+    cfg = {"input": args.input} if args.input else {}
+    cfg.update(curve=curve.name, eps=_rat(eps), seed=args.seed)
     for key, val in curve.params.items():
         if key == "coeffs":
             cfg[key] = [_rats(row) for row in val]
@@ -257,26 +273,25 @@ def render_svg(seq: PointSeq, pieces=None) -> str:
 
 
 def _write_svg(args, seq: PointSeq, pieces=None):
-    if getattr(args, "out_svg", None):
-        text = render_svg(seq, pieces)
-        with open(args.out_svg, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.out_svg:
+        _write_file(args.out_svg, render_svg(seq, pieces))
 
 
 class Reporter:
-    """Assembles the report envelope and handles output files."""
+    """Assembles the report envelope and handles output files.  Built at
+    dispatch, before any input is read; the command sets ``config`` once
+    it has read its input."""
 
-    def __init__(self, args, command: str, config: dict):
+    def __init__(self, args):
         self.args = args
-        self.command = command
-        self.config = config
+        self.config = {}
         self.started = time.perf_counter()
 
     def emit(self, result: dict, error: dict | None = None,
              code: int = EXIT_OK) -> int:
         report = {
             "schema_version": SCHEMA_VERSION,
-            "command": self.command,
+            "command": self.args.command,
             "config": self.config,
             "result": result,
             "timing": {"seconds": round(
@@ -285,33 +300,15 @@ class Reporter:
         if error is not None:
             report["error"] = error
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        sys.stdout.write(text)
         if self.args.out_json:
-            with open(self.args.out_json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            _write_file(self.args.out_json, text)
+        sys.stdout.write(text)
         return code
 
 
-def _base_config(args, **extra) -> dict:
-    cfg = {}
-    if getattr(args, "input", None):
-        cfg["input"] = args.input
-    cfg.update(extra)
-    return cfg
-
-
-def _require_eps(args) -> Fraction:
-    if args.eps is None:
-        raise ParseFailure("this command needs --eps")
-    eps = _parse_rational(args.eps)
-    if eps <= 0:
-        raise ParseFailure("--eps must be positive")
-    return eps
-
-
-def cmd_verify_gp(args) -> int:
-    seq = load_points(args)
-    rep = Reporter(args, "verify-gp", _base_config(args, dim=seq.dim))
+def cmd_verify_gp(args, rep: Reporter) -> int:
+    seq = parse_points_text(_read_source(args.input), args.dim)
+    rep.config = {"input": args.input, "dim": seq.dim}
     report = is_general_position(seq)
     result = {"n": len(seq), "dim": seq.dim,
               "general_position": bool(report)}
@@ -321,9 +318,9 @@ def cmd_verify_gp(args) -> int:
     return rep.emit(result, code=EXIT_PRECONDITION)
 
 
-def cmd_homog(args) -> int:
-    seq = load_points(args)
-    rep = Reporter(args, "homog", _base_config(args, dim=seq.dim))
+def cmd_homog(args, rep: Reporter) -> int:
+    seq = parse_points_text(_read_source(args.input), args.dim)
+    rep.config = {"input": args.input, "dim": seq.dim}
     report = is_order_type_homogeneous(seq)
     result = {"n": len(seq), "homogeneous": bool(report)}
     if report:
@@ -333,19 +330,12 @@ def cmd_homog(args) -> int:
     return rep.emit(result)
 
 
-def cmd_flip(args) -> int:
-    if not args.input:
-        raise ParseFailure("this command needs --input (use - for stdin)")
+def cmd_flip(args, rep: Reporter) -> int:
     text = _read_source(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{") and '"signs"' in stripped:
-        obj = _load_json(text)
-        try:
-            s = from_json_dict(obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseFailure(f"invalid sign-table JSON: {exc}") from exc
-        rep = Reporter(args, "flip",
-                       _base_config(args, k=s.k, mode="table"))
+        s = _load_table(text)
+        rep.config = {"input": args.input, "k": s.k, "mode": "table"}
         report = verify_flip(s)
         result = {"n": len(s), "k": s.k, "flip": bool(report)}
         if not report:
@@ -353,8 +343,7 @@ def cmd_flip(args) -> int:
                                  "signs": list(report.witness_signs)}
         return rep.emit(result)
     seq = parse_points_text(text, args.dim)
-    rep = Reporter(args, "flip",
-                   _base_config(args, dim=seq.dim, mode="points"))
+    rep.config = {"input": args.input, "dim": seq.dim, "mode": "points"}
     report = is_flip(seq)
     result = {"n": len(seq), "k": seq.dim, "flip": bool(report)}
     if not report:
@@ -363,11 +352,11 @@ def cmd_flip(args) -> int:
     return rep.emit(result)
 
 
-def cmd_crossings(args) -> int:
-    seq = load_points(args)
+def cmd_crossings(args, rep: Reporter) -> int:
+    seq = parse_points_text(_read_source(args.input), args.dim)
     budget = args.oracle_budget
-    rep = Reporter(args, "crossings",
-                   _base_config(args, dim=seq.dim, oracle_budget=budget))
+    rep.config = {"input": args.input, "dim": seq.dim,
+                  "oracle_budget": budget}
     if len(seq) > budget:
         raise BudgetExceeded(len(seq), budget, "the exact crossing oracle")
     path = PolyPath(seq)
@@ -383,9 +372,9 @@ def cmd_crossings(args) -> int:
     return rep.emit(result)
 
 
-def cmd_decompose(args) -> int:
-    seq = load_points(args)
-    rep = Reporter(args, "decompose", _base_config(args, dim=seq.dim))
+def cmd_decompose(args, rep: Reporter) -> int:
+    seq = parse_points_text(_read_source(args.input), args.dim)
+    rep.config = {"input": args.input, "dim": seq.dim}
     path = PolyPath(seq)
     dec = decompose(path)
     gp = dec.partition
@@ -401,11 +390,9 @@ def cmd_decompose(args) -> int:
     return rep.emit(result)
 
 
-def cmd_sample(args) -> int:
-    curve = load_curve(args)
-    eps = _require_eps(args)
-    rep = Reporter(args, "sample", _base_config(
-        args, eps=_rat(eps), seed=args.seed, **_curve_config(curve)))
+def cmd_sample(args, rep: Reporter) -> int:
+    curve, eps = load_curve(args)
+    rep.config = _curve_config(args, curve, eps)
     sample = epsilon_sample(curve, eps, args.seed)
     seq = sample.path.seq
     result = {
@@ -419,13 +406,11 @@ def cmd_sample(args) -> int:
     return rep.emit(result)
 
 
-def cmd_decompose_curve(args) -> int:
-    curve = load_curve(args)
-    eps = _require_eps(args)
+def cmd_decompose_curve(args, rep: Reporter) -> int:
+    curve, eps = load_curve(args)
     budget = args.oracle_budget
-    rep = Reporter(args, "decompose-curve", _base_config(
-        args, eps=_rat(eps), seed=args.seed, oracle_budget=budget,
-        **_curve_config(curve)))
+    rep.config = dict(_curve_config(args, curve, eps),
+                      oracle_budget=budget)
     cd = decompose_curve(curve, eps, args.seed, certify_budget=budget)
     seq = cd.sample.path.seq
     result = {
@@ -442,15 +427,9 @@ def cmd_decompose_curve(args) -> int:
     return rep.emit(result)
 
 
-def cmd_reduce(args) -> int:
-    if not args.input:
-        raise ParseFailure("this command needs --input (use - for stdin)")
-    obj = _load_json(_read_source(args.input))
-    try:
-        s = from_json_dict(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseFailure(f"invalid sign-table JSON: {exc}") from exc
-    rep = Reporter(args, "reduce", _base_config(args, k=s.k))
+def cmd_reduce(args, rep: Reporter) -> int:
+    s = _load_table(_read_source(args.input))
+    rep.config = {"input": args.input, "k": s.k}
     before = greedy_partition(s)
     reduced = reduce(s)
     after = greedy_partition(reduced)
@@ -500,9 +479,9 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, rep: Reporter) -> int:
     ks = _parse_k_range(args.k)
-    rep = Reporter(args, "bounds", _base_config(args, k=args.k.strip()))
+    rep.config = {"k": args.k.strip()}
     # c(k) is exact and passes 4300 digits from k = 4926.
     with _unlimited_int_digits():
         result = {
@@ -514,11 +493,11 @@ def cmd_bounds(args) -> int:
         return rep.emit(result)
 
 
-def cmd_ramsey(args) -> int:
-    seq = load_points(args)
+def cmd_ramsey(args, rep: Reporter) -> int:
+    seq = parse_points_text(_read_source(args.input), args.dim)
     budget = args.oracle_budget
-    rep = Reporter(args, "ramsey",
-                   _base_config(args, dim=seq.dim, oracle_budget=budget))
+    rep.config = {"input": args.input, "dim": seq.dim,
+                  "oracle_budget": budget}
     homog = is_order_type_homogeneous(seq)
     result = {"n": len(seq), "dim": seq.dim,
               "homogeneous_input": bool(homog)}
@@ -549,7 +528,8 @@ def cmd_ramsey(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
-    unchanged, so main reuses it on every call."""
+    unchanged, so main reuses it on every call.  Each subcommand declares
+    exactly the flags its command reads."""
     parser = argparse.ArgumentParser(
         prog="convexsplit",
         description="Exact convex decomposition of polygonal paths and "
@@ -557,111 +537,126 @@ def build_parser() -> argparse.ArgumentParser:
                     "sign-sequence tools.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, *, curve=False, eps=False, k=False):
+    def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", help="input file, or - for stdin")
-        p.add_argument("--dim", type=int,
-                       help="expected dimension (validated against input; "
-                            "moment-curve dimension for --curve moment)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
-        p.add_argument("--oracle-budget", type=int,
-                       default=DEFAULT_ORACLE_BUDGET,
-                       help="max n for exact crossing oracle runs "
-                            f"(default {DEFAULT_ORACLE_BUDGET})")
-        p.add_argument("--out-json", help="also write the report here")
-        p.add_argument("--out-svg", help="write an SVG plot (d=2 only)")
-        if eps:
-            p.add_argument("--eps", help="sampling resolution, rational")
-        else:
-            p.set_defaults(eps=None)
-        if curve:
-            p.add_argument("--curve",
-                           choices=["moment", "quintic", "dented_arc",
-                                    "poly"],
-                           help="builtin curve name")
-            p.add_argument("--dents", type=int, help="dented_arc dent count")
-            p.add_argument("--depth", help="dented_arc dent depth, rational")
-            p.add_argument("--coeffs",
-                           help="poly coefficients, JSON rows of rationals")
-            p.add_argument("--domain",
-                           help='poly domain, JSON pair like ["-1","1"]')
-        else:
-            p.set_defaults(curve=None, dents=None, depth=None, coeffs=None,
-                           domain=None)
-        if k:
-            p.add_argument("--k", required=True,
-                           help='bound index or range, e.g. 3 or "1..4"')
         p.set_defaults(func=func)
         return p
 
-    add("verify-gp", cmd_verify_gp,
-        "check general position; exit 3 with witness if violated")
-    add("homog", cmd_homog,
-        "order-type homogeneity of a point sequence")
-    add("flip", cmd_flip,
-        "flip property of a point sequence or an abstract sign table")
-    add("crossings", cmd_crossings,
-        "exact maximum crossing number with witness (budgeted)")
-    add("decompose", cmd_decompose,
-        "greedy decomposition of a path into convex pieces")
-    add("sample", cmd_sample,
-        "epsilon-sample a curve into a general-position path",
-        curve=True, eps=True)
-    add("decompose-curve", cmd_decompose_curve,
-        "sample a curve and decompose it into convex arcs",
-        curve=True, eps=True)
+    def points(name, func, help_text):
+        p = add(name, func, help_text)
+        p.add_argument("--input", required=True,
+                       help="input file, or - for stdin")
+        p.add_argument("--dim", type=int,
+                       help="expected dimension (validated against input)")
+        return p
+
+    def budget(p, bounded):
+        p.add_argument("--oracle-budget", type=int,
+                       default=DEFAULT_ORACLE_BUDGET,
+                       help=f"max n for {bounded} "
+                            f"(default {DEFAULT_ORACLE_BUDGET})")
+
+    def svg(p):
+        p.add_argument("--out-svg", help="write an SVG plot (d=2 only)")
+
+    def curve(name, func, help_text):
+        p = add(name, func, help_text)
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--curve",
+                            choices=["moment", "quintic", "dented_arc",
+                                     "poly"],
+                            help="builtin curve name")
+        source.add_argument("--input",
+                            help='curve JSON {"curve": name, ...} file, '
+                                 "or - for stdin")
+        p.add_argument("--dim", type=int, help="moment curve dimension")
+        p.add_argument("--dents", type=int, help="dented_arc dent count")
+        p.add_argument("--depth", help="dented_arc dent depth, rational")
+        p.add_argument("--coeffs",
+                       help="poly coefficients, JSON rows of rationals")
+        p.add_argument("--domain",
+                       help='poly domain, JSON pair like ["-1","1"]')
+        p.add_argument("--eps", required=True,
+                       help="sampling resolution, positive rational")
+        p.add_argument("--seed", type=int, default=0,
+                       help="sampling seed (default 0)")
+        svg(p)
+        return p
+
+    points("verify-gp", cmd_verify_gp,
+           "check general position; exit 3 with witness if violated")
+    points("homog", cmd_homog,
+           "order-type homogeneity of a point sequence")
+    points("flip", cmd_flip,
+           "flip property of a point sequence or an abstract sign table")
+    budget(points("crossings", cmd_crossings,
+                  "exact maximum crossing number with witness (budgeted)"),
+           "the exact crossing oracle")
+    svg(points("decompose", cmd_decompose,
+               "greedy decomposition of a path into convex pieces"))
+    curve("sample", cmd_sample,
+          "epsilon-sample a curve into a general-position path")
+    budget(curve("decompose-curve", cmd_decompose_curve,
+                 "sample a curve and decompose it into convex arcs"),
+           "certifying the sampled path's crossing number; larger paths "
+           "go uncertified")
     add("reduce", cmd_reduce,
-        "reduce an abstract sign table preserving its block count")
+        "reduce an abstract sign table preserving its block count"
+        ).add_argument("--input", required=True,
+                       help="sign-table JSON file, or - for stdin")
     add("bounds", cmd_bounds,
-        "exact c(k) block-count bounds plus known sharper constants",
-        k=True)
-    add("ramsey", cmd_ramsey,
-        "homogeneous subsequence search plus projection extraction")
+        "exact c(k) block-count bounds plus known sharper constants"
+        ).add_argument("--k", required=True,
+                       help='bound index or range, e.g. 3 or "1..4"')
+    budget(points("ramsey", cmd_ramsey,
+                  "homogeneous subsequence search plus projection "
+                  "extraction"),
+           "the homogeneous-subsequence search on non-homogeneous input")
+    for p in sub.choices.values():
+        p.add_argument("--out-json", help="also write the report here")
     return parser
 
 
+def _error(exc: Exception) -> tuple[dict, int]:
+    """The report's error object and exit code for an exception that a
+    command raises on well-formed input."""
+    if isinstance(exc, BudgetExceeded):
+        return ({"type": "budget", "message": str(exc), "n": exc.n},
+                EXIT_BUDGET)
+    if isinstance(exc, SamplingError):
+        return ({"type": "sampling", "message": str(exc),
+                 "cell": exc.cell, "retries": exc.retries},
+                EXIT_PRECONDITION)
+    if isinstance(exc, GeneralPositionError):
+        error = {"type": "general-position", "message": str(exc)}
+        if exc.witness is not None:
+            error["witness"] = list(exc.witness)
+        if hasattr(exc, "k"):
+            error["projection_k"] = exc.k
+        return error, EXIT_PRECONDITION
+    return {"type": "precondition", "message": str(exc)}, EXIT_PRECONDITION
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_PARSE
+    rep = Reporter(args)
     try:
         # A negative budget is a usage error, not a budget every input
         # exceeds.
-        if args.oracle_budget < 0:
+        if vars(args).get("oracle_budget", 0) < 0:
             raise ParseFailure("--oracle-budget must be >= 0, "
                                f"got {args.oracle_budget}")
-        return args.func(args)
+        try:
+            return args.func(args, rep)
+        except (BudgetExceeded, SamplingError, ValueError) as exc:
+            error, code = _error(exc)
+            return rep.emit({}, error=error, code=code)
     except ParseFailure as exc:
         print(f"convexsplit: error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except BudgetExceeded as exc:
-        rep = Reporter(args, args.command, {"oracle_budget": exc.budget})
-        return rep.emit(
-            {}, error={"type": "budget", "message": str(exc), "n": exc.n},
-            code=EXIT_BUDGET)
-    except SamplingError as exc:
-        rep = Reporter(args, args.command, {})
-        return rep.emit(
-            {}, error={"type": "sampling", "message": str(exc),
-                       "cell": exc.cell, "retries": exc.retries},
-            code=EXIT_PRECONDITION)
-    except GeneralPositionError as exc:
-        witness = getattr(exc, "witness", None)
-        error = {"type": "general-position", "message": str(exc)}
-        if witness is not None:
-            error["witness"] = list(witness)
-        if hasattr(exc, "k"):
-            error["projection_k"] = exc.k
-        rep = Reporter(args, args.command, {})
-        return rep.emit({}, error=error, code=EXIT_PRECONDITION)
-    except ValueError as exc:
-        rep = Reporter(args, args.command, {})
-        return rep.emit(
-            {}, error={"type": "precondition", "message": str(exc)},
-            code=EXIT_PRECONDITION)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,18 @@
 """CLI behavior: exit codes, report shapes, determinism, SVG output."""
 
+import argparse
 import io
 import json
 import subprocess
 import sys
 import time
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from convexsplit import cli
 from convexsplit.cli import _rat, build_parser, main
 from convexsplit.exactgeom import point_seq
 from convexsplit.kseq import c_bound
@@ -117,6 +120,9 @@ class TestParsing:
         '{"points": [[{"x": 1}, 2], [0, 0]]}',
         '{"points": [[[1], [2]], [[3], [4]]]}',
         '{"points": [[true, 1], [0, 0], [1, 2]]}',
+        pytest.param("[" * 200000, id="deep-nesting"),
+        pytest.param('{"points": [[' + "1" * 5000 + ', 0]]}',
+                     id="past-int-digit-limit"),
     ])
     @pytest.mark.parametrize("command", ["homog", "flip"])
     def test_json_shape_is_a_parse_error(self, command, text, capsys,
@@ -142,6 +148,80 @@ class TestParsing:
         assert code == 2
         assert out == ""
         assert "--oracle-budget" in err
+
+    # Each argv names a flag its command does not take; {pts}, {table}
+    # and {spec} are valid inputs, so only the flag makes the usage error.
+    @pytest.mark.parametrize("argv", [
+        "homog --input {pts} --seed 1",
+        "verify-gp --input {pts} --oracle-budget 5",
+        "flip --input {pts} --out-svg x.svg",
+        "crossings --input {pts} --eps 1/4",
+        "decompose --input {pts} --oracle-budget 5",
+        "ramsey --input {pts} --curve quintic",
+        "bounds --k 2 --input x",
+        "reduce --input {table} --dim 2",
+        "sample --curve quintic --eps 1/4 --oracle-budget 5",
+        "sample --curve quintic --input x --eps 1/4",
+        "sample --input {spec} --dents 3 --eps 1/4",
+        "decompose-curve --input {spec} --dim 2 --eps 1/4",
+        "decompose-curve --curve quintic --eps 1/4 --k 2",
+    ])
+    def test_flag_the_command_does_not_take(self, argv, capsys, tmp_path):
+        pts = write(tmp_path, "p.csv", ZIGZAG_CSV)
+        table = write(tmp_path, "t.json", json.dumps(PAIRS_TABLE))
+        spec = write(tmp_path, "c.json", '{"curve": "quintic"}')
+        code = main(argv.format(pts=pts, table=table, spec=spec).split())
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    def test_each_command_takes_only_its_flags(self):
+        points = {"--input", "--dim", "--out-json"}
+        curve = {"--input", "--curve", "--dim", "--dents", "--depth",
+                 "--coeffs", "--domain", "--eps", "--seed", "--out-svg",
+                 "--out-json"}
+        expected = {
+            "verify-gp": points, "homog": points, "flip": points,
+            "crossings": points | {"--oracle-budget"},
+            "ramsey": points | {"--oracle-budget"},
+            "decompose": points | {"--out-svg"},
+            "sample": curve,
+            "decompose-curve": curve | {"--oracle-budget"},
+            "reduce": {"--input", "--out-json"},
+            "bounds": {"--k", "--out-json"},
+        }
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt for a in p._actions for opt in a.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in commands.choices.items()}
+        assert flags == expected
+        assert sum(map(len, flags.values())) == 48
+
+    def test_undecodable_input_is_a_parse_error(self, run, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_bytes(b"0,0\n1,\xff\n")
+        code, _ = run(["homog", "--input", str(path)], expect_report=False)
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["homog", "--input", "{pts}", "--out-json", "{tmp}"],
+        ["homog", "--input", "{line}", "--out-json", "{tmp}"],
+        ["decompose", "--input", "{pts}", "--out-svg", "{tmp}/no/z.svg"],
+        ["sample", "--curve", "quintic", "--eps", "1/4",
+         "--out-svg", "{tmp}/no/q.svg"],
+    ])
+    def test_unwritable_output_is_a_parse_error(self, argv, capsys,
+                                                tmp_path):
+        names = {"tmp": str(tmp_path),
+                 "pts": write(tmp_path, "p.csv", ZIGZAG_CSV),
+                 "line": write(tmp_path, "l.csv", "0,0\n1,1\n2,2\n")}
+        code = main([a.format(**names) for a in argv])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convexsplit: error: cannot write")
 
     def test_zero_oracle_budget_is_a_budget(self, run, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(ZIGZAG_CSV))
@@ -359,11 +439,30 @@ class TestSample:
         '{"curve": "poly", "coeffs": [["0", "1"], ["0", "0", "1"]], '
         '"domain": ["0", "1", "2"]}',
         '{"curve": "poly", "coeffs": [["1/0"]]}',
+        '{"curve": "poly", "coeffs": [[1e400]]}',
+        '{"curve": "poly", "coeffs": [["0", "1"], [-Infinity, 1]]}',
+        '{"curve": "poly", "coeffs": [["0", "1"], [NaN, 1]]}',
+        '{"curve": "poly", "coeffs": [["0", "1"]], "domain": [0, 1e400]}',
+        pytest.param("[" * 200000, id="deep-nesting"),
     ])
     def test_curve_json_shape_is_a_parse_error(self, text, capsys,
                                                monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code = main(["sample", "--input", "-", "--eps", "1/4"])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convexsplit: error:")
+
+    @pytest.mark.parametrize("flags", [
+        ["--coeffs", "[[1e400]]"],
+        ["--coeffs", "[[Infinity]]"],
+        ["--coeffs", '[["0", "1"], [-Infinity, 1]]'],
+        ["--coeffs", '[["0", "1"], ["0", "1"]]', "--domain", "[0, 1e400]"],
+        ["--coeffs", "[" * 200000],
+    ])
+    def test_non_finite_curve_flags_are_a_parse_error(self, flags, capsys):
+        code = main(["sample", "--curve", "poly", *flags, "--eps", "1/2"])
         out, err = capsys.readouterr()
         assert code == 2
         assert out == ""
@@ -499,6 +598,42 @@ class TestRamsey:
 
 
 class TestReporting:
+    def test_error_envelopes_carry_config(self, run, tmp_path):
+        line = write(tmp_path, "l.csv", "0,0\n1,1\n2,2\n")
+        code, report = run(["homog", "--input", line])
+        assert code == 3
+        assert report["config"] == {"dim": 2, "input": line}
+        zigzag = write(tmp_path, "z.csv", ZIGZAG_CSV)
+        code, report = run(["crossings", "--input", zigzag,
+                            "--oracle-budget", "3"])
+        assert code == 4
+        assert report["config"] == {"dim": 2, "input": zigzag,
+                                    "oracle_budget": 3}
+        code, report = run(["ramsey", "--input", zigzag,
+                            "--oracle-budget", "3"])
+        assert code == 4
+        assert report["config"] == {"dim": 2, "input": zigzag,
+                                    "oracle_budget": 3}
+
+    def test_error_envelopes_time_from_dispatch(self, run, tmp_path,
+                                                monkeypatch):
+        # A clock that reading the input moves on by 5 s: an envelope timed
+        # from dispatch counts those seconds.
+        clock = [0.0]
+        read = cli._read_source
+
+        def slow_read(path):
+            clock[0] += 5.0
+            return read(path)
+
+        monkeypatch.setattr(cli, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        monkeypatch.setattr(cli, "_read_source", slow_read)
+        line = write(tmp_path, "l.csv", "0,0\n1,1\n2,2\n")
+        code, report = run(["homog", "--input", line])
+        assert code == 3
+        assert report["timing"]["seconds"] == 5.0
+
     def test_out_json_matches_stdout(self, run, tmp_path):
         out = tmp_path / "r.json"
         code, report = run(["bounds", "--k", "2", "--out-json", str(out)])
