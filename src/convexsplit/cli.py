@@ -23,8 +23,8 @@ from fractions import Fraction
 from .crossing import PolyPath, decompose, max_crossings, witness_crossings
 from .curves import CurveSpec, SamplingError, builtin, decompose_curve, \
     epsilon_sample
-from .exactgeom import (GeneralPositionError, PointSeq, is_general_position,
-                        point_seq)
+from .exactgeom import (GeneralPositionError, PointSeq, as_rational,
+                        is_general_position, point_seq)
 from .kseq import (KNOWN_BOUNDS, from_json_dict, greedy_partition,
                    iter_c_bounds, reduce, to_json_dict, verify_flip)
 from .ordertype import is_flip, is_order_type_homogeneous
@@ -68,10 +68,14 @@ def _rats(xs) -> list:
 
 
 def _parse_rational(tok: str) -> Fraction:
+    text = str(tok).strip()
     try:
-        return Fraction(str(tok).strip())
+        # as_rational also bounds a decimal exponent.
+        if "e" in text or "E" in text:
+            return as_rational(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseFailure(f"not a rational number: {tok!r}") from exc
+        raise ParseFailure(f"not a rational number: {tok!r} ({exc})") from exc
 
 
 def _read_source(path: str) -> str:
@@ -334,6 +338,8 @@ def cmd_flip(args, rep: Reporter) -> int:
     text = _read_source(args.input)
     stripped = text.lstrip()
     if stripped.startswith("{") and '"signs"' in stripped:
+        if args.dim is not None:
+            raise ParseFailure("--dim does not apply to a sign table")
         s = _load_table(text)
         rep.config = {"input": args.input, "k": s.k, "mode": "table"}
         report = verify_flip(s)

@@ -8,15 +8,17 @@ determinant.  All of them are evaluated exactly: coordinates are
 One integer kernel carries the orientations: ``_cofactors`` maps d rows to
 the integer vector c(D) with c(D) . x = det(D + [x]) for every row x, i.e.
 the hyperplane through the d points.  It is hand-expanded for d <= 3; only
-the minors for d >= 4 run through fraction-free Bareiss elimination.  An
-exhaustive scan over (d+1)-tuples computes c(D) once per d-subset D and
-then one integer dot product per remaining point.  When all those signs
-should agree, ``_alternating`` proves it from O(n^(d-1)) determinants
-instead, in every dimension: a base determinant and the per-row step
-``_extends`` for rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion
-on integer quotients of the rows above.  Homogeneity, general position
-and greedy block extension all run on it.  ``PointSeq.orientation_of``
-memoizes single tuples for callers that ask for them one at a time.
+the minors for d >= 4 run through fraction-free Bareiss elimination.  A
+sign sequence takes c(D) once and then one integer dot product per
+remaining point.  When the signs of all (d+1)-tuples should agree,
+``_alternating`` proves it from O(n^(d-1)) determinants, in every
+dimension: a base determinant and the per-row step ``_extends`` for
+rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on integer
+quotients of the rows above.  Homogeneity, general position and greedy
+block extension all run on it, and where it fails ``_least_bad`` names
+the least subset of the wrong sign by the same recursion, with no subset
+scan.  ``PointSeq.orientation_of`` memoizes single tuples for callers
+that ask for them one at a time.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -28,6 +30,7 @@ primitive directions, so every witness comes from that hash.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -52,13 +55,21 @@ class GeneralPositionError(ValueError):
 def as_rational(value) -> Fraction:
     """Coerce int/str/float/Fraction to an exact Fraction.
 
-    Strings accept both "p/q" and decimal forms.  Floats convert by their
-    exact binary expansion, never re-rounded.
+    Strings accept both "p/q" and decimal forms.  Fraction expands a
+    decimal exponent exactly, so one that, added to the string's length,
+    passes CPython's integer digit limit (3.11+) is a ValueError, as a
+    literal with that many digits is.  Floats convert by their exact
+    binary expansion, never re-rounded.
     """
     if isinstance(value, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        limit = getattr(sys, "get_int_max_str_digits", int)()
+        exp = int(value.lower().partition("e")[2])
+        if limit and len(value) + abs(exp) > limit:
+            raise ValueError(f"exponent past the {limit}-digit limit")
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
@@ -285,6 +296,47 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
             return 0
         sigma = s * eps
     return sigma
+
+
+def _least_bad(rows: Sequence[Sequence[int]], tau: int
+               ) -> tuple[int, ...] | None:
+    """The lexicographically least r-subset of the m >= r integer vectors
+    ``rows`` in Z^r whose determinant sign is not tau (a zero sign counts
+    as not tau), or None.
+
+    As in _alternating, the subsets whose least member is v_a have the
+    signs of the (r-1)-subsets of the later rows mod v_a times eps_a
+    (_quotient), in the same order, and they all come before the subsets
+    whose least member is later.  So the least witness is that of the
+    first anchor a that has one: the least witness of its quotient rows
+    for tau * eps_a, or (a, ..., a + r - 1) when v_a = 0.  At rank 1 a row
+    is its own determinant, and at rank 2 the 2x2 determinants against
+    the later rows are read directly.  Above that, _alternating proves
+    each clean anchor, so O(m^max(2, r-2)) determinants in all.
+    """
+    r = len(rows[0])
+    if r == 2:
+        # Dividing a row by a positive integer keeps every sign, and makes
+        # the integers in the O(m^2) products below smaller.
+        gs = [math.gcd(*v) or 1 for v in rows]
+        rows = [(x // g, y // g) for (x, y), g in zip(rows, gs)]
+    for a in range(len(rows) - r + 1):
+        v = rows[a]
+        if not any(v):
+            return tuple(range(a, a + r))
+        if r == 1:
+            if tau * v[0] < 0:
+                return (a,)
+        elif r == 2:
+            x, y = v
+            for j, (p, q) in enumerate(rows[a + 1:], a + 1):
+                if tau * (x * q - y * p) <= 0:
+                    return (a, j)
+        else:
+            sub, eps = _quotient(rows[a + 1:], v)
+            if not _alternating(sub, tau * eps):
+                return (a, *map((a + 1).__add__, _least_bad(sub, tau * eps)))
+    return None
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactgeom import (PointSeq, _alternating, _cofactors, _dots, _extends,
-                        _quotient)
+from .exactgeom import (PointSeq, _alternating, _det_sign, _extends,
+                        _least_bad, _quotient)
 from .ordertype import _raise_dependent, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
@@ -133,28 +133,23 @@ class GreedyPartition:
 def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
             ) -> tuple[tuple[int, ...] | None, int | None]:
     """Can element nxt join the block [start, nxt)?  All new (k+1)-subsets
-    must have sign sigma (the first subset checked fixes sigma when it is
-    still open).
+    must have sign sigma; an open sigma is fixed by the first one.
 
     Returns (witness, sigma).  The witness is None when nxt joins, else
-    the first k-subset D, in lexicographic order, with sign(D + nxt) !=
-    sigma: the scan stops there, so it is the block's rejection witness.
+    the least k-subset D, in lexicographic order, with sign(D + nxt) !=
+    sigma; a zero sign met first raises tuple_sign's GeneralPositionError.
 
-    Geometric blocks are first tested on their homogeneous rows, which
-    are alternating exactly when the block is homogeneous (see
+    Geometric blocks are tested on their homogeneous rows (see
     exactgeom._alternating).  In R^1 and R^2, once sigma is set, the
     block's rows already alternate, and exactgeom._extends decides nxt
-    from 2 or 3 determinants.  While sigma is open the block has k
-    points, and the k + 1 rows with nxt take one determinant.  In R^k
-    for k >= 3, nxt joins when the block's rows modulo hom(nxt) are
-    alternating: with eps from exactgeom._quotient, sign(D + nxt) =
-    (-1)^k * eps * det(D mod hom(nxt)), as moving hom(nxt) to the front
-    takes k swaps.  That is 3b determinants for a block of b points in
-    R^3, and O(b^(k-2)) in general, where the subset scan reads C(b, k)
-    orientations.  An open sigma is the sign of the first subset, as in
-    the scan.  The scan (_scan_extension) runs only when the test fails,
-    to build the rejection or the GeneralPositionError.  Abstract
-    sequences read every new subset from sign_at.
+    from 2 or 3 determinants; while sigma is open the block has k points,
+    and the k + 1 rows with nxt take one determinant.  In R^k for k >= 3,
+    nxt joins when the block's rows modulo hom(nxt) are alternating, as
+    sign(D + nxt) = (-1)^k * eps * det(D mod hom(nxt)) with eps from
+    exactgeom._quotient (moving hom(nxt) to the front takes k swaps).  On
+    rejection, exactgeom._least_bad finds the witness on those rows, in
+    every dimension.  Abstract sequences read every new subset from
+    sign_at.
     """
     seq = s._points
     if seq is None:
@@ -166,41 +161,27 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
                 return comb, sigma
         return None, sigma
     hom = seq._hom
+    if s.k < 3:
+        if sigma:
+            t = sigma if _extends(hom, start, nxt, sigma) else 0
+        else:
+            t = _alternating(hom[start:nxt + 1])
+        if t:
+            return None, t
+    rows, eps = _quotient(hom[start:nxt], hom[nxt])
+    parity = -eps if s.k % 2 else eps
     if s.k >= 3:
-        rows, eps = _quotient(hom[start:nxt], hom[nxt])
-        parity = -eps if s.k % 2 else eps
         t = _alternating(rows, sigma * parity if sigma else 0) * parity
-    elif sigma:
-        t = sigma if _extends(hom, start, nxt, sigma) else 0
-    else:
-        t = _alternating(hom[start:nxt + 1])
-    if t:
-        return None, t
-    return _scan_extension(hom, s.k, start, nxt, sigma)
-
-
-def _scan_extension(hom, k: int, start: int, nxt: int, sigma: int | None
-                    ) -> tuple[tuple[int, ...] | None, int | None]:
-    """The k-subsets D of [start, nxt) in lexicographic order, until
-    sign(D + nxt) != sigma; returns (witness, sigma) as _extend does.
-
-    D-first: for each (k-1)-subset D' of [start, nxt - 1), the cofactor
-    vector c of the rows D' + [hom(nxt)] gives sign det(D' + (j, nxt)) =
-    -sign(c . hom(j)) for every j > max D', by one row swap.  A zero
-    raises tuple_sign's GeneralPositionError.
-    """
-    for D in itertools.combinations(range(start, nxt - 1), k - 1):
-        c = _cofactors([hom[i] for i in D] + [hom[nxt]])
-        lo = D[-1] + 1 if D else start
-        for j, v in enumerate(_dots(c, hom[lo:nxt]), lo):
-            if not v:
-                _raise_dependent(D + (j, nxt))
-            t = -1 if v > 0 else 1
-            if sigma is None:
-                sigma = t
-            elif t != sigma:
-                return D + (j,), sigma
-    return None, sigma
+        if t:
+            return None, t
+    sigma = sigma or _det_sign(hom[start:start + s.k] + (hom[nxt],))
+    # A zero first subset is the least witness for either sign.
+    wit = _least_bad(rows, (sigma or 1) * parity)
+    if wit is not None:
+        wit = tuple(map(start.__add__, wit))
+        if not _det_sign([hom[i] for i in wit + (nxt,)]):
+            _raise_dependent(wit + (nxt,))
+    return wit, sigma
 
 
 def greedy_partition(s: KSequence) -> GreedyPartition:

@@ -7,8 +7,9 @@ points in order; the sequence has the flip property when every R's sign
 sequence changes sign at most once.
 
 Homogeneity is decided in every dimension by exactgeom._alternating on
-the points' homogeneous rows, from O(n^(d-1)) determinants; only input
-that fails it pays for the lexicographic scan that names the witness.
+the points' homogeneous rows, from O(n^(d-1)) determinants; input that
+fails it gets its witness from exactgeom._least_bad, the same quotient
+recursion, from O(n^max(2, d-1)) determinants.
 
 One sweep kernel serves the flip test and the crossing oracle
 (crossing.max_crossings): _pencil turns a hyperplane about d - 1
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
-                        _cofactors, _dots)
+                        _cofactors, _det_sign, _dots, _least_bad)
 
 
 @dataclass(frozen=True)
@@ -83,13 +84,9 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     Homogeneous input is settled by exactgeom._alternating on the
     homogeneous rows: 2n - 3 determinants in R^1, at most 3n in R^2, and
     O(n^(d-1)) for d >= 3, 3 * C(n, 2) at most in R^3.  Whenever it
-    fails, all C(n, d+1) tuples are scanned in lexicographic order: the
-    witness, when present, is the lexicographically least pair of
-    opposite-sign tuples, and a zero orientation met before any such pair
-    raises GeneralPositionError.  The scan runs D-first, in the same
-    order: each d-subset D of the first n-1 points, then every later
-    point i, at the cost of C(n-1, d) cofactor vectors and C(n, d+1)
-    integer dot products.
+    fails, the witness is the first tuple and the least tuple whose sign
+    differs from it, found by exactgeom._least_bad from O(n^max(2, d-1))
+    determinants; a zero orientation before it raises GeneralPositionError.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
@@ -98,22 +95,14 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     if sigma:
         return HomogeneityReport(True, sign=sigma)
     hom = seq._hom
-    sign0 = 0
-    for D in itertools.combinations(range(n - 1), d):
-        top = D[-1] + 1
-        vals = _dots(_cofactors([hom[j] for j in D]), hom[top:])
-        if sign0 and (min(vals) if sign0 > 0 else -max(vals)) > 0:
-            continue
-        for i, v in enumerate(vals, top):
-            if not v:
-                _raise_dependent(D + (i,))
-            s = 1 if v > 0 else -1
-            if not sign0:
-                sign0 = s
-            elif s != sign0:
-                return HomogeneityReport(
-                    False, witness=(tuple(range(d + 1)), D + (i,)))
-    return HomogeneityReport(True, sign=sign0)
+    sigma = _det_sign(hom[:d + 1])
+    # A zero first tuple is the least witness for either sign.
+    wit = _least_bad(hom, sigma or 1)
+    if wit is None:
+        return HomogeneityReport(True, sign=sigma)
+    if not _det_sign([hom[i] for i in wit]):
+        _raise_dependent(wit)
+    return HomogeneityReport(False, witness=(tuple(range(d + 1)), wit))
 
 
 def sign_sequence(seq: PointSeq, subset: Sequence[int]) -> SignSeq:

@@ -134,6 +134,30 @@ class TestParsing:
         assert out == ""
         assert err.startswith("convexsplit: error:")
 
+    # Fraction would expand these exponents to integers of 4,300 digits
+    # or more, which no report could print; a literal past the digit limit
+    # is refused already.
+    @pytest.mark.parametrize("argv,text", [
+        (["homog", "--input", "-"], "1e1000000,0\n1,1\n2,5\n"),
+        (["homog", "--input", "-"],
+         '{"points": [["1E+99999", 0], [1, 1], [2, 5]]}'),
+        (["sample", "--curve", "quintic", "--eps", "1e-300000"], ""),
+        (["sample", "--curve", "quintic", "--eps", "1e-4300"], ""),
+        (["sample", "--curve", "poly", "--coeffs", '[[0, "1e300000"]]',
+          "--eps", "1/4"], ""),
+        (["homog", "--input", "-"], "1" * 5000 + ",0\n1,1\n2,5\n"),
+    ])
+    def test_exponent_past_the_digit_limit_is_a_parse_error(
+            self, argv, text, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        start = time.perf_counter()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("convexsplit: error:")
+        assert time.perf_counter() - start < 0.1
+
     @pytest.mark.parametrize("argv", [
         ["crossings", "--input", "-"],
         ["ramsey", "--input", "-"],
@@ -317,6 +341,16 @@ class TestFlip:
         path = write(tmp_path, "t.json", '{"signs": []}')
         code, _ = run(["flip", "--input", path], expect_report=False)
         assert code == 2
+
+    @pytest.mark.parametrize("dim", ["1", "7"])
+    def test_table_mode_takes_no_dim(self, dim, capsys, tmp_path):
+        # A sign table holds its own k, so --dim would do nothing.
+        path = write(tmp_path, "t.json", json.dumps(PAIRS_TABLE))
+        code = main(["flip", "--input", path, "--dim", dim])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert "--dim" in err
 
 
 class TestCrossings:

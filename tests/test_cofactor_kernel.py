@@ -3,16 +3,18 @@ replaced.
 
 ``_cofactors`` gives the vector c(D) with c(D) . x = det(D + [x]), so an
 exhaustive orientation scan computes c(D) once per d-subset D and one dot
-product per other point.  ``sign_sequence`` and the homogeneity scan
-now run that way; ``max_crossings`` and ``is_flip`` did until they swept
-pencils instead (see test_pencil_sweep.py and test_flip_sweep.py), and
-``is_general_position`` did until one quotient recursion over direction
-hashes replaced all of its passes.  The oracles below are the replaced
-tuple-first versions, with every orientation decided by Bareiss
-elimination on the full (d+1)x(d+1) matrix; ``old_is_general_position``
-keeps the duplicate and collinear hash passes it ran first.  Reports,
-witnesses and raised errors (type, message and witness) must agree
-exactly, on general-position and degenerate input alike.
+product per other point.  ``sign_sequence`` now runs that way; the
+homogeneity witness did until the quotient recursion ``_least_bad``
+replaced it (see test_least_bad.py), ``max_crossings`` and ``is_flip``
+did until they swept pencils instead (see test_pencil_sweep.py and
+test_flip_sweep.py), and ``is_general_position`` did until one quotient
+recursion over direction hashes replaced all of its passes.  The oracles
+below are the replaced tuple-first versions, with every orientation
+decided by Bareiss elimination on the full (d+1)x(d+1) matrix;
+``old_is_general_position`` keeps the duplicate and collinear hash
+passes it ran first.  Reports, witnesses and raised errors (type,
+message and witness) must agree exactly, on general-position and
+degenerate input alike.
 """
 
 import itertools
@@ -24,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexsplit import cli, crossing, ordertype, ramsey
+from convexsplit import cli, crossing, exactgeom, ordertype, ramsey
 from convexsplit.crossing import (CrossingReport, CrossingWitness, PolyPath,
                                   max_crossings)
 from convexsplit.exactgeom import (GeneralPositionError,
@@ -394,17 +396,41 @@ class TestCounters:
         assert orients == []
         assert seq._sign_cache == {}
 
-    @pytest.mark.parametrize("n", [4, 9, 16])
+    @pytest.mark.parametrize("n", [4, 9, 16, 40])
     def test_spatial_homogeneity_scan(self, n, monkeypatch):
         # Homogeneous input is settled by the alternating test; switch it
-        # off to count the full scan, which still runs on any other input.
+        # off, and the witness kernel, which runs on any other input,
+        # visits every anchor: one rank-3 alternating test of 3m - 8
+        # determinants on the m rows after each, plus the first tuple's
+        # sign.  That is O(n^2), where the D-first scan it replaced made
+        # C(n - 1, 3) cofactor vectors.
         monkeypatch.setattr(ordertype, "_alternating", lambda *args: 0)
         seq = moment_seq(n, 3)
+        dets = [count_calls(monkeypatch, owner, "_det_sign")
+                for owner in (exactgeom, ordertype)]
         cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         assert is_order_type_homogeneous(seq).sign == 1
-        assert len(cofactors) == math.comb(n - 1, 3)
+        assert sum(map(len, dets)) == 1 + sum(3 * m - 8 for m in range(3, n))
+        assert cofactors == []
         assert orients == []
+
+    def test_spatial_homogeneity_witness_is_quadratic(self, monkeypatch):
+        # 130 points of (t, t^2, t^4), one per cell of width 1/128 from -1,
+        # as the sampler places them at eps 1/64.  Four of them are
+        # coplanar iff their t sum to 0, which this grid never does, and a
+        # tuple's sign is that of the sum; only the last four sum above 0,
+        # so the witness is the last tuple.  The alternating test and the
+        # witness kernel each take about 3 * C(n, 2) determinants, where
+        # the scan read C(n, 4) = 11,358,880 orientations.
+        n = 130
+        ts = [Fraction(3 * i + 2, 384) - 1 for i in range(n)]
+        seq = point_seq([(t, t * t, t ** 4) for t in ts])
+        dets = [count_calls(monkeypatch, owner, "_det_sign")
+                for owner in (exactgeom, ordertype)]
+        report = is_order_type_homogeneous(seq)
+        assert report.witness == ((0, 1, 2, 3), (126, 127, 128, 129))
+        assert sum(map(len, dets)) <= 6 * math.comb(n, 2)
 
     def test_general_position_uses_no_sign_cache(self, monkeypatch):
         seq = moment_seq(12, 3)

@@ -50,6 +50,14 @@ class TestAsRational:
         with pytest.raises(ValueError):
             as_rational("not-a-number")
 
+    def test_exponent_within_the_digit_limit(self):
+        # The literal's length plus the exponent stays within 4300 digits.
+        assert as_rational("1e4290") == 10 ** 4290
+        assert as_rational("-2.5E-4290") == Fraction(-1, 4 * 10 ** 4289)
+        for text in ("1e1000000", "1e-4300", "12.5e4295", "1E+99999"):
+            with pytest.raises(ValueError, match="digit limit"):
+                as_rational(text)
+
 
 class TestOrientation:
     def test_planar_turns(self):

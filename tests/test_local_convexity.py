@@ -198,12 +198,13 @@ def convex_polygon(n):
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """Counts of PointSeq.orientation_of, exactgeom._det_sign and
-    kseq._scan_extension calls."""
-    counts = {"orient": 0, "dets": 0, "scan": 0}
+    """Counts of PointSeq.orientation_of and exactgeom._det_sign calls,
+    and of the witness kernel calls that greedy extension makes
+    (kseq._least_bad)."""
+    counts = {"orient": 0, "dets": 0, "witness": 0}
     for owner, name, key in ((PointSeq, "orientation_of", "orient"),
                              (exactgeom, "_det_sign", "dets"),
-                             (kseq, "_scan_extension", "scan")):
+                             (kseq, "_least_bad", "witness")):
         def counting(*args, _fn=getattr(owner, name), _key=key):
             counts[_key] += 1
             return _fn(*args)
@@ -235,7 +236,7 @@ class TestCounters:
         assert gp.signs == (1,)
         assert counted["orient"] == 0
         assert counted["dets"] <= 3 * n
-        assert counted["scan"] == 0
+        assert counted["witness"] == 0
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_decompose_convex_polygon_reads_no_tuple(self, n, counted):
@@ -267,8 +268,10 @@ class TestCounters:
         assert sign_at == []
 
     def test_pair_loop_runs_once_per_rejected_block(self, counted):
+        # One witness kernel call per rejected block, and none on accepted
+        # points.
         seq = epsilon_sample(builtin("quintic"), Fraction(1, 25)).path.seq
-        counted["scan"] = 0
+        counted["witness"] = 0
         gp = greedy_partition(from_points(seq))
         assert gp.m == 4
-        assert counted["scan"] == gp.m - 1
+        assert counted["witness"] == gp.m - 1

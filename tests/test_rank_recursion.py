@@ -79,12 +79,13 @@ def tuple_greedy(seq: PointSeq) -> GreedyPartition:
 
 
 @st.composite
-def vector_sets(draw):
-    """(rows, sigma): m >= r integer vectors in Z^r, r = 2..5.  Random small
-    entries (not acyclic in general: v and -v both occur), or the
+def vector_sets(draw, min_r=2, zero_rows=False):
+    """(rows, sigma): m >= r integer vectors in Z^r, r = min_r..5.  Random
+    small entries (not acyclic in general: v and -v both occur), or the
     alternating moment vectors (1, t, .., t^(r-1)) under a random
-    integer map, with maybe one row replaced by a random one."""
-    r = draw(st.integers(2, 5))
+    integer map, with maybe one row replaced by a random one.  With
+    ``zero_rows``, maybe one row is then replaced by the zero vector."""
+    r = draw(st.integers(min_r, 5))
     m = draw(st.integers(r, r + 4))
     small = st.integers(-3, 3)
     if draw(st.booleans()):
@@ -101,6 +102,8 @@ def vector_sets(draw):
                       for row in mat) for t in ts]
         if draw(st.booleans()):
             rows[draw(st.integers(0, m - 1))] = draw(st.tuples(*[small] * r))
+    if zero_rows and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = (0,) * r
     return rows, draw(st.sampled_from((0, 1, -1)))
 
 
