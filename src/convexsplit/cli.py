@@ -68,12 +68,8 @@ def _rats(xs) -> list:
 
 
 def _parse_rational(tok: str) -> Fraction:
-    text = str(tok).strip()
     try:
-        # as_rational also bounds a decimal exponent.
-        if "e" in text or "E" in text:
-            return as_rational(text)
-        return Fraction(text)
+        return as_rational(str(tok).strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseFailure(f"not a rational number: {tok!r} ({exc})") from exc
 

@@ -56,21 +56,25 @@ def as_rational(value) -> Fraction:
     """Coerce int/str/float/Fraction to an exact Fraction.
 
     Strings accept both "p/q" and decimal forms.  Fraction expands a
-    decimal exponent exactly, so one that, added to the string's length,
-    passes CPython's integer digit limit (3.11+) is a ValueError, as a
-    literal with that many digits is.  Floats convert by their exact
-    binary expansion, never re-rounded.
+    decimal exactly, to integers of up to its length plus its exponent's
+    size in digits, so a decimal past CPython's integer digit limit
+    (3.11+) by that count is a ValueError, with or without an exponent,
+    as a "p/q" part with that many digits is.  Floats convert by their
+    exact binary expansion, never re-rounded.
     """
+    if isinstance(value, str):
+        # First: the Fraction test below is an ABC check, slow on a str.
+        if "/" not in value:
+            limit = getattr(sys, "get_int_max_str_digits", int)()
+            exp = value.lower().partition("e")[2]
+            if limit and len(value) + abs(int(exp or 0)) > limit:
+                raise ValueError(f"decimal past the {limit}-digit limit")
+        return Fraction(value)
     if isinstance(value, bool):
         raise TypeError("bool is not a coordinate")
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        limit = getattr(sys, "get_int_max_str_digits", int)()
-        exp = int(value.lower().partition("e")[2])
-        if limit and len(value) + abs(exp) > limit:
-            raise ValueError(f"exponent past the {limit}-digit limit")
-    if isinstance(value, (int, str, float)):
+    if isinstance(value, (int, float)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational")
 

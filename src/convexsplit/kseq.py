@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .exactgeom import (PointSeq, _alternating, _det_sign, _extends,
-                        _least_bad, _quotient)
+from . import exactgeom
+from .exactgeom import (PointSeq, _alternating, _extends, _least_bad,
+                        _quotient)
 from .ordertype import _raise_dependent, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
@@ -174,12 +175,14 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
         t = _alternating(rows, sigma * parity if sigma else 0) * parity
         if t:
             return None, t
-    sigma = sigma or _det_sign(hom[start:start + s.k] + (hom[nxt],))
+    # Signs are read through the module, where the counters patch them.
+    det_sign = exactgeom._det_sign
+    sigma = sigma or det_sign(hom[start:start + s.k] + (hom[nxt],))
     # A zero first subset is the least witness for either sign.
     wit = _least_bad(rows, (sigma or 1) * parity)
     if wit is not None:
         wit = tuple(map(start.__add__, wit))
-        if not _det_sign([hom[i] for i in wit + (nxt,)]):
+        if not det_sign([hom[i] for i in wit + (nxt,)]):
             _raise_dependent(wit + (nxt,))
     return wit, sigma
 

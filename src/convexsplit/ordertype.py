@@ -25,10 +25,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from . import exactgeom
 from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
-                        _cofactors, _det_sign, _dots, _least_bad)
+                        _cofactors, _dots, _least_bad)
 
 
 @dataclass(frozen=True)
@@ -95,12 +96,13 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     if sigma:
         return HomogeneityReport(True, sign=sigma)
     hom = seq._hom
-    sigma = _det_sign(hom[:d + 1])
+    # Signs are read through the module, where the counters patch them.
+    sigma = exactgeom._det_sign(hom[:d + 1])
     # A zero first tuple is the least witness for either sign.
     wit = _least_bad(hom, sigma or 1)
     if wit is None:
         return HomogeneityReport(True, sign=sigma)
-    if not _det_sign([hom[i] for i in wit]):
+    if not exactgeom._det_sign([hom[i] for i in wit]):
         _raise_dependent(wit)
     return HomogeneityReport(False, witness=(tuple(range(d + 1)), wit))
 

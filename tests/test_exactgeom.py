@@ -51,10 +51,12 @@ class TestAsRational:
             as_rational("not-a-number")
 
     def test_exponent_within_the_digit_limit(self):
-        # The literal's length plus the exponent stays within 4300 digits.
+        # The string's length plus the exponent stays within 4300 digits.
         assert as_rational("1e4290") == 10 ** 4290
         assert as_rational("-2.5E-4290") == Fraction(-1, 4 * 10 ** 4289)
-        for text in ("1e1000000", "1e-4300", "12.5e4295", "1E+99999"):
+        assert as_rational("0." + "0" * 4297 + "1") == Fraction(1, 10 ** 4298)
+        for text in ("1e1000000", "1e-4300", "12.5e4295", "1E+99999",
+                     "." + "0" * 4299 + "1", "1" * 4301):
             with pytest.raises(ValueError, match="digit limit"):
                 as_rational(text)
 
