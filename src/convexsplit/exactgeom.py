@@ -56,11 +56,10 @@ def as_rational(value) -> Fraction:
     """Coerce int/str/float/Fraction to an exact Fraction.
 
     Strings accept both "p/q" and decimal forms.  Fraction expands a
-    decimal exactly, to integers of up to its length plus its exponent's
-    size in digits, so a decimal past CPython's integer digit limit
-    (3.11+) by that count is a ValueError, with or without an exponent,
-    as a "p/q" part with that many digits is.  Floats convert by their
-    exact binary expansion, never re-rounded.
+    decimal to integers of up to its length plus its exponent in digits,
+    so one past CPython's integer digit limit (3.11+) by that count is a
+    ValueError before any is built, as a "p/q" part past it is.  Floats
+    convert by their exact binary expansion, never re-rounded.
     """
     if isinstance(value, str):
         # First: the Fraction test below is an ABC check, slow on a str.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import exactgeom
 from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
