@@ -6,7 +6,10 @@ sampler places one parameter per length-(eps/2) cell with a seeded rational
 jitter and maintains general position incrementally, retrying inside the
 cell when a sample would create a degeneracy, with O(i^(d-1)) rank-2
 tests for the i-th point in R^d: integer slope keys in the plane, and
-exact integer directions where those do not settle a point.
+exact integer directions where those do not settle a point.  The
+sampler's points lie on a fixed parameter grid of a curve with fixed
+coefficients, so their planar rows share one small common denominator,
+and each slope key is a plain difference quotient.
 """
 
 from __future__ import annotations
@@ -86,18 +89,18 @@ def _dented_arc(dents: int, depth) -> CurveSpec:
         raise ValueError(
             f"depth must satisfy 0 < depth < 1/dents^2 = {cap}, got {depth}")
     half = Fraction(1, 3 * dents)
-    centers = [Fraction(-1) + Fraction(2 * j + 1, dents)
-               for j in range(dents)]
 
     def ev(t: Fraction) -> Point:
+        # Dent j sits strictly inside the cell [-1 + 2j/dents,
+        # -1 + 2(j+1)/dents], so only the cell holding x can reach it.
         x = 2 * t - 1
         y = 1 - x * x
-        for c in centers:
-            a, b = c - half, c + half
-            if a <= x <= b:
-                bump = (x - a) * (b - x) / (half * half)
-                y -= depth * bump * bump
-                break
+        j = min(max((x + 1) * dents // 2, 0), dents - 1)
+        c = Fraction(2 * j + 1 - dents, dents)
+        a, b = c - half, c + half
+        if a <= x <= b:
+            bump = (x - a) * (b - x) / (half * half)
+            y -= depth * bump * bump
         return (x, y)
 
     return CurveSpec("dented_arc", 2, (Fraction(0), Fraction(1)), ev,
@@ -186,10 +189,12 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
     General position is certified once, as the points arrive, by
     IncrementalGeneralPosition: n points take C(n, 2) + ... + C(n, d)
     rank-2 tests and O(n) memory.  In the plane that is one integer slope
-    key per pair, and exact directions are hashed only for a point whose
-    keys collide, or that is vertically above an earlier one.  The
-    returned path reuses that certificate instead of checking its
-    vertices again.
+    key per pair, two subtractions, a shift and a divide while the point's
+    denominator divides the rows' shared one (a point that does not
+    rescales the rows once when it is kept), and exact directions are
+    hashed only for a point whose keys collide, or that is vertically
+    above an earlier one.  The returned path reuses that certificate
+    instead of checking its vertices again.
     """
     eps = as_rational(eps)
     if eps <= 0:

@@ -24,7 +24,11 @@ Beyond that certificate, both general-position checks run one recursion,
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
 test is first an integer slope key per row (``_slopes_distinct``), which
 can only accept; where it declines, ``_direction`` hashes exact
-primitive directions, so every witness comes from that hash.
+primitive directions, so every witness comes from that hash.  The
+incremental check in the plane keeps its rows over one shared first
+coordinate, the lcm of the point denominators while a width guard
+allows, and there a key is two subtractions, a shift and a divide
+(``IncrementalGeneralPosition``).
 """
 
 from __future__ import annotations
@@ -535,7 +539,7 @@ def _equal_pair(keys: Iterable, first: bool = False
 _KEY_BITS = 64
 
 
-def _slopes_distinct(v, rows):
+def _slopes_distinct(v, rows, shared=False):
     """True only if no row is 0 mod v and no two rows are parallel mod v,
     for 3-vectors with v[0] != 0.  False decides nothing.
 
@@ -544,18 +548,27 @@ def _slopes_distinct(v, rows):
     floor(2^_KEY_BITS * y / x).  The key is a function of the slope y/x,
     and parallel rows share their slope, so if every x is nonzero and the
     keys are pairwise distinct, no row is 0 and no two are parallel.  Only
-    integers are used.  A vertical row, or two distinct slopes less than
-    2^-_KEY_BITS apart whose keys collide, sends the caller to the exact
-    _direction hash: _KEY_BITS changes how often that happens, never an
-    answer.
+    integers are used.  With ``shared``, every row has first coordinate
+    m = l > 0, so (x, y) = l * (b - p1, c - p2): the same slope, and the
+    same key, from two subtractions and no product.  A vertical row, or
+    two distinct slopes less than 2^-_KEY_BITS apart whose keys collide,
+    sends the caller to the exact _direction hash: _KEY_BITS changes how
+    often that happens, never an answer.
     """
     l, p1, p2 = v
     keys = set()
-    for m, b, c in rows:
-        x = l * b - m * p1
-        if not x:
-            return False
-        keys.add(((l * c - m * p2) << _KEY_BITS) // x)
+    if shared:
+        for _, b, c in rows:
+            x = b - p1
+            if not x:
+                return False
+            keys.add(((c - p2) << _KEY_BITS) // x)
+    else:
+        for m, b, c in rows:
+            x = l * b - m * p1
+            if not x:
+                return False
+            keys.add(((l * c - m * p2) << _KEY_BITS) // x)
     return len(keys) == len(rows)
 
 
@@ -627,14 +640,31 @@ class IncrementalGeneralPosition:
 
     ``try_add`` either commits the point and returns None, or leaves the
     state untouched and returns a witness subset (indices, the new point
-    being the next index).  The state is the committed points and their
-    homogeneous rows, O(n) in all; no per-pair data is kept.
+    being the next index).  The state is the committed points, their
+    homogeneous rows and the rows' shared first coordinate, which only the
+    plane reads: O(n) in all; no per-pair data is kept.
+
+    Every stored row is a positive multiple of its point's _hom_row, so it
+    has the same determinant signs and the same _direction.  In the plane
+    the rows are kept over one shared first coordinate D, the lcm of the
+    committed points' denominators: the row of p is (D, D*x, D*y).  A
+    point whose denominator L divides D is checked at D, where each slope
+    key is two subtractions (_slopes_distinct's ``shared``).  A point
+    whose L does not is checked against the stored rows by the
+    multiplying key, and committing it rescales every row to
+    lcm(D, L) once.  On arbitrary rationals D would grow without bound,
+    so that rescale runs only while lcm(D, L) has at most twice L's bits;
+    past that guard the set keeps each new point's _hom_row and the
+    multiplying key for good, and no stored first coordinate is ever wider
+    than twice the widest point denominator.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.points: list[Point] = []
         self._hom: list[tuple[int, ...]] = []
+        # D, read in the plane only; 0 once the width guard has tripped.
+        self._den = 1
 
     def try_add(self, p: Point) -> tuple[int, ...] | None:
         """Check the subsets of <= dim+1 points whose last point is p.
@@ -643,24 +673,32 @@ class IncrementalGeneralPosition:
         plane, _slopes_distinct on the new row against the earlier rows
         first accepts the point when their slopes out of it are pairwise
         distinct and none is vertical: one integer key per earlier point,
-        no gcd.  Otherwise, and in every other dimension, the i-th point
-        takes one integer direction out of it per earlier point a.  None
-        is the duplicate pair (a, i).  From dimension 2 up, {a, b, i} is
-        collinear iff dir(a) == dir(b); the committed points are in
+        no gcd, and while p's denominator divides the shared D, no product
+        in any key either.  Otherwise, and in every other dimension, the i-th
+        point takes one integer direction out of it per earlier point a.
+        None is the duplicate pair (a, i).  From dimension 2 up, {a, b, i}
+        is collinear iff dir(a) == dir(b); the committed points are in
         general position, so the colliding pairs are disjoint and the
         least one gives the lexicographically least triple.  A larger
         S + {i} is dependent iff S is mod the new row, and the directions
         are those rows made primitive, so _least_dependent on them gives
         the least subset of each size 4..dim+1, with C(i, 2) ..
         C(i, dim-1) more rank-2 tests: O(i^(dim-1)) per point.  The
-        witness always comes from the direction hash.
+        witness always comes from the direction hash.  A rejected point
+        leaves every row and D as they were; only a commit rescales.
         """
         if len(p) != self.dim:
             raise DimensionMismatchError(
                 f"point of length {len(p)} in a dim-{self.dim} set")
         i = len(self._hom)
         hom = _hom_row(p)
-        if not (self.dim == 2 and _slopes_distinct(hom, self._hom)):
+        plane, l = self.dim == 2, hom[0]
+        den = self._den if plane else 0
+        shared = den and not den % l
+        if shared:
+            k = den // l
+            hom = (den, k * hom[1], k * hom[2])
+        if not (plane and _slopes_distinct(hom, self._hom, shared)):
             dirs = list(map(_direction, [hom] * i, self._hom))
             if None in dirs:
                 return (dirs.index(None), i)
@@ -671,6 +709,17 @@ class IncrementalGeneralPosition:
                 wit = _least_dependent(dirs, size)
             if wit is not None:
                 return wit + (i,)
+        if den and not shared:
+            lcm = den // math.gcd(den, l) * l
+            if lcm.bit_length() <= 2 * l.bit_length():
+                k, m = lcm // den, lcm // l
+                rows = self._hom
+                for j, (_, b, c) in enumerate(rows):
+                    rows[j] = (lcm, k * b, k * c)
+                hom = (lcm, m * hom[1], m * hom[2])
+            else:
+                lcm = 0
+            self._den = lcm
         self.points.append(p)
         self._hom.append(hom)
         return None

@@ -6,10 +6,11 @@ sequence of R lists the orientation of {p_i} union R over the remaining
 points in order; the sequence has the flip property when every R's sign
 sequence changes sign at most once.
 
-Homogeneity is decided in every dimension by exactgeom._alternating on
-the points' homogeneous rows, from O(n^(d-1)) determinants; input that
-fails it gets its witness from exactgeom._least_bad, the same quotient
-recursion, from O(n^max(2, d-1)) determinants.
+Homogeneity is decided on the points' homogeneous rows by one quotient
+recursion: in R^1 and R^2 by exactgeom._alternating, from O(n)
+determinants, and from R^3 up, or where that fails, by
+exactgeom._least_bad, from O(n^max(2, d-1)) determinants, which also
+names the witness.
 
 One sweep kernel serves the flip test and the crossing oracle
 (crossing.max_crossings): _pencil turns a hyperplane about d - 1
@@ -82,22 +83,28 @@ def _raise_dependent(idx: tuple[int, ...]):
 def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     """Common orientation sign of all (d+1)-tuples, if there is one.
 
-    Homogeneous input is settled by exactgeom._alternating on the
-    homogeneous rows: 2n - 3 determinants in R^1, at most 3n in R^2, and
-    O(n^(d-1)) for d >= 3, 3 * C(n, 2) at most in R^3.  Whenever it
-    fails, the witness is the first tuple and the least tuple whose sign
-    differs from it, found by exactgeom._least_bad from O(n^max(2, d-1))
-    determinants; a zero orientation before it raises GeneralPositionError.
+    In R^1 and R^2 homogeneous input is settled by exactgeom._alternating
+    on the homogeneous rows, with 2n - 3 and at most 3n determinants.
+    Where that fails, and from R^3 up at once, the first tuple's sign is
+    the candidate and exactgeom._least_bad names the least tuple whose
+    sign differs from it, the witness, from O(n^max(2, d-1))
+    determinants; 3 * C(n, 2) at most in R^3.  From R^3 up the kernel's
+    anchors are _alternating's own, so homogeneous input costs one
+    determinant more than _alternating alone, and other input half of
+    running both.  A zero orientation before the witness raises
+    GeneralPositionError.
     """
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    sigma = _alternating(seq._hom)
-    if sigma:
-        return HomogeneityReport(True, sign=sigma)
     hom = seq._hom
-    # Signs are read through the module, where the counters patch them.
-    sigma = exactgeom._det_sign(hom[:d + 1])
+    if d < 3:
+        sigma = _alternating(hom)
+        if sigma:
+            return HomogeneityReport(True, sign=sigma)
+    # The first tuple's sign by the quotient recursion: from R^3 up a
+    # direct determinant would build a cofactor vector.
+    sigma = _alternating(hom[:d + 1])
     # A zero first tuple is the least witness for either sign.
     wit = _least_bad(hom, sigma or 1)
     if wit is None:

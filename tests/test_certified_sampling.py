@@ -365,6 +365,106 @@ class TestSlopeCertificate:
         assert _least_dependent(hom[::-1], 3) is None
 
 
+@st.composite
+def mixed_denominator_streams(draw):
+    """Planar rationals over denominators 1..40, so the shared denominator
+    is rescaled and, past its width guard, given up; duplicates and
+    points on the line through two earlier points are common."""
+    coord = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 40))
+    pts = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.integers(0, 3)) if len(pts) >= 2 else 0
+        if kind == 1:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == 2:
+            p, q = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+            c = draw(coord)
+            pts.append(tuple(a + c * (b - a) for a, b in zip(p, q)))
+        else:
+            pts.append((draw(coord), draw(coord)))
+    return pts
+
+
+def is_positive_multiple(row, p):
+    hom = _hom_row(p)
+    k, rem = divmod(row[0], hom[0])
+    return rem == 0 and k > 0 and row == tuple(k * x for x in hom)
+
+
+class TestSharedDenominator:
+    """The planar stream keeps its rows over one shared first coordinate
+    while the width guard allows; the dictionary-of-directions try_add is
+    the oracle."""
+
+    @given(mixed_denominator_streams())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_direction_dictionary(self, pts):
+        new = IncrementalGeneralPosition(2)
+        old = DirsIncrementalGeneralPosition(2)
+        for p in map(as_point, pts):
+            before = list(new.points), list(new._hom), new._den
+            got = new.try_add(p)
+            assert got == old.try_add(p)
+            assert new.points == old.points
+            if got is not None:
+                assert (new.points, new._hom, new._den) == before
+            assert all(map(is_positive_multiple, new._hom, new.points))
+            if new._den:
+                assert {row[0] for row in new._hom} == {new._den}
+
+    def test_rejection_leaves_rows_unscaled(self):
+        # The third point's denominator 3 does not divide D = 2, and the
+        # point is collinear with the first two: no rescale happens.
+        gp = IncrementalGeneralPosition(2)
+        for p in [(0, 0), ("1/2", "1/2")]:
+            assert gp.try_add(as_point(p)) is None
+        assert gp._hom == [(2, 0, 0), (2, 1, 1)] and gp._den == 2
+        assert gp.try_add(as_point(("1/3", "1/3"))) == (0, 1, 2)
+        assert gp._hom == [(2, 0, 0), (2, 1, 1)] and gp._den == 2
+        assert gp.try_add(as_point(("1/3", "1/5"))) is None
+        assert gp._hom == [(30, 0, 0), (30, 15, 15), (30, 10, 6)]
+
+    def test_width_guard_on_coprime_denominators(self):
+        # The first 400 primes as point denominators: D would grow to
+        # thousands of bits, so the guard gives the shared denominator up
+        # and no stored row is wider than twice the widest denominator.
+        primes = [q for q in range(2, 2742)
+                  if all(q % f for f in range(2, math.isqrt(q) + 1))]
+        assert len(primes) == 400
+        rng = random.Random(7)
+        gp = IncrementalGeneralPosition(2)
+        pts = [as_point((Fraction(rng.randrange(-10 ** 6, 10 ** 6), q),
+                         Fraction(rng.randrange(-10 ** 6, 10 ** 6), q)))
+               for q in primes]
+        for p in pts:
+            assert gp.try_add(p) is None
+        assert gp._den == 0
+        widest = max(_hom_row(p)[0] for p in pts).bit_length()
+        assert max(row[0].bit_length() for row in gp._hom) <= 2 * widest
+        assert all(map(is_positive_multiple, gp._hom, gp.points))
+
+    @pytest.mark.parametrize("curve,bits", [
+        (builtin("quintic"), 99),
+        (builtin("moment", dim=2), 40),
+        (builtin("dented_arc", dents=3, depth=Fraction(1, 100)), 82),
+    ])
+    def test_sampled_points_keep_one_denominator(self, curve, bits,
+                                                 monkeypatch):
+        # Points on the sampler's parameter grid: the rows share one first
+        # coordinate to the end, and every slope key but those of the
+        # points that rescale it runs on the shared branch.
+        pts = epsilon_sample(curve, Fraction(1, 100)).path.seq.points
+        calls = count_calls(monkeypatch, exactgeom, "_slopes_distinct")
+        gp = IncrementalGeneralPosition(2)
+        for p in pts:
+            assert gp.try_add(p) is None
+        assert gp._den.bit_length() == bits
+        assert {row[0] for row in gp._hom} == {gp._den}
+        shared = [args[2] for args in calls]
+        assert len(shared) == len(pts)
+        assert sum(map(bool, shared)) >= len(pts) - 3
+
+
 curve_choices = st.one_of(
     st.just((builtin("quintic"), (Fraction(1, 8), Fraction(1, 20)))),
     st.builds(lambda dents, den: (
@@ -447,9 +547,10 @@ class TestCounters:
         gp = IncrementalGeneralPosition(dim)
         for i in range(1, n + 1):
             assert gp.try_add(curve.at(Fraction(i, n))) is None
-        # the points and their homogeneous rows, plus the dimension
+        # the points and their homogeneous rows, plus the dimension and
+        # the shared first coordinate of the rows
         assert (leaves(list(vars(gp).values()))
-                == n * dim + n * (dim + 1) + 1)
+                == n * dim + n * (dim + 1) + 2)
 
 
 def random_points(n, d):

@@ -532,6 +532,18 @@ class TestDecomposeCurve:
         assert code == 0
         assert report["result"]["pieces"] == 7
 
+    def test_dented_arc_with_many_dents(self, run):
+        # Each point evaluates the one dent whose cell holds it, so the
+        # dent count costs nothing: no list of 10^8 centers is built.
+        started = time.perf_counter()
+        code, report = run(["sample", "--curve", "dented_arc",
+                            "--dents", "100000000",
+                            "--depth", "1/" + "1" + "0" * 20,
+                            "--eps", "1/4"])
+        assert code == 0
+        assert report["result"]["n"] == 8
+        assert time.perf_counter() - started < 5
+
     def test_certification_respects_budget(self, run):
         code, report = run(["decompose-curve", "--curve", "quintic",
                             "--eps", "1/5", "--oracle-budget", "5"])

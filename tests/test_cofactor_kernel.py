@@ -398,13 +398,11 @@ class TestCounters:
 
     @pytest.mark.parametrize("n", [4, 9, 16, 40])
     def test_spatial_homogeneity_scan(self, n, monkeypatch):
-        # Homogeneous input is settled by the alternating test; switch it
-        # off, and the witness kernel, which runs on any other input,
-        # visits every anchor: one rank-3 alternating test of 3m - 8
-        # determinants on the m rows after each, plus the first tuple's
-        # sign.  That is O(n^2), where the D-first scan it replaced made
-        # C(n - 1, 3) cofactor vectors.
-        monkeypatch.setattr(ordertype, "_alternating", lambda *args: 0)
+        # From R^3 up the witness kernel alone decides homogeneity, and
+        # on homogeneous input it visits every anchor: one rank-3
+        # alternating test of 3m - 8 determinants on the m rows after
+        # each, plus the first tuple's sign.  That is O(n^2), where the
+        # D-first scan it replaced made C(n - 1, 3) cofactor vectors.
         seq = moment_seq(n, 3)
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
         cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
@@ -419,16 +417,31 @@ class TestCounters:
         # as the sampler places them at eps 1/64.  Four of them are
         # coplanar iff their t sum to 0, which this grid never does, and a
         # tuple's sign is that of the sum; only the last four sum above 0,
-        # so the witness is the last tuple.  The alternating test and the
-        # witness kernel each take about 3 * C(n, 2) determinants, where
-        # the scan read C(n, 4) = 11,358,880 orientations.
+        # so the witness is the last tuple.  The witness kernel alone
+        # decides it, from about 3 * C(n, 2) determinants (24,133), where
+        # the alternating test ahead of it took as many again and the
+        # scan read C(n, 4) = 11,358,880 orientations.
         n = 130
         ts = [Fraction(3 * i + 2, 384) - 1 for i in range(n)]
         seq = point_seq([(t, t * t, t ** 4) for t in ts])
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        alternating = count_calls(monkeypatch, ordertype, "_alternating")
         report = is_order_type_homogeneous(seq)
         assert report.witness == ((0, 1, 2, 3), (126, 127, 128, 129))
-        assert len(dets) <= 6 * math.comb(n, 2)
+        assert len(dets) <= 3 * math.comb(n, 2) + 1
+        assert [len(rows) for rows, in alternating] == [4]
+
+    @pytest.mark.parametrize("d,n", [(3, 4), (3, 40), (4, 5), (4, 16)])
+    def test_homogeneous_input_costs_one_determinant_more(self, d, n,
+                                                          monkeypatch):
+        # From R^3 up the witness kernel's anchors are the alternating
+        # test's own; only the first tuple's sign is added.
+        seq = moment_seq(n, d)
+        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        assert exactgeom._alternating(seq._hom) == 1
+        alone = len(dets)
+        assert is_order_type_homogeneous(seq).sign == 1
+        assert len(dets) - alone == alone + 1
 
     def test_general_position_uses_no_sign_cache(self, monkeypatch):
         seq = moment_seq(12, 3)

@@ -15,6 +15,26 @@ from convexsplit.ordertype import is_order_type_homogeneous
 F = Fraction
 
 
+def scanning_dented_arc(dents, depth):
+    """Reference: the dented arc's evaluator that builds every dent center
+    and scans them all at each parameter."""
+    half = F(1, 3 * dents)
+    centers = [F(-1) + F(2 * j + 1, dents) for j in range(dents)]
+
+    def ev(t):
+        x = 2 * t - 1
+        y = 1 - x * x
+        for c in centers:
+            a, b = c - half, c + half
+            if a <= x <= b:
+                bump = (x - a) * (b - x) / (half * half)
+                y -= depth * bump * bump
+                break
+        return (x, y)
+
+    return ev
+
+
 class TestBuiltins:
     def test_moment_values(self):
         c = builtin("moment", dim=3)
@@ -34,6 +54,22 @@ class TestBuiltins:
         assert c.at(F(1, 6)) == (F(-2, 3), F(5, 9) - F(1, 100))
         # x = 1/3 is outside every dent
         assert c.at(F(2, 3)) == (F(1, 3), F(8, 9))
+
+    def test_dented_arc_matches_scanning_evaluator(self):
+        # Parameters on a grid finer than the dents, plus every dent's
+        # endpoints and center and every cell boundary.
+        for dents in range(1, 25):
+            depth = F(1, 2 * dents * dents + 1)
+            fast = builtin("dented_arc", dents=dents, depth=depth).evaluator
+            slow = scanning_dented_arc(dents, depth)
+            xs = {F(k, 7 * dents) - 1 for k in range(14 * dents + 1)}
+            for j in range(dents + 1):
+                c = F(2 * j + 1, dents) - 1
+                h = F(1, 3 * dents)
+                xs.update({c - h, c, c + h, F(2 * j, dents) - 1})
+            for x in sorted(x for x in xs if -1 <= x <= 1):
+                t = (x + 1) / 2
+                assert fast(t) == slow(t)
 
     def test_poly_horner(self):
         c = builtin("poly", coeffs=[[1, 2], [0, 0, 3]])
