@@ -58,7 +58,7 @@ class TestBuiltins:
     def test_dented_arc_matches_scanning_evaluator(self):
         # Parameters on a grid finer than the dents, plus every dent's
         # endpoints and center and every cell boundary.
-        for dents in range(1, 25):
+        for dents in range(1, 33):
             depth = F(1, 2 * dents * dents + 1)
             fast = builtin("dented_arc", dents=dents, depth=depth).evaluator
             slow = scanning_dented_arc(dents, depth)
