@@ -12,8 +12,10 @@ The hyperplanes through d - 1 vertices F form a pencil, which maps to
 the lines through the origin of a plane.  Turning that line once moves
 the vertices across it one at a time, and a running count of crossed
 edges gives every hyperplane of the pencil, perturbations included, in
-O(1) each (see ordertype._pencil, which the flip test shares).  That is
-O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations, against
+O(1) each (see ordertype._pencils, which the flip test shares).  The
+plane is the vertices' rows modulo F, by the quotient recursion, with
+one quotient per prefix of F shared by every F that starts with it.
+That is O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations, against
 O(2^d * n^(d+1)) for visiting every d-subset with its 2^d
 perturbations.
 """
@@ -28,7 +30,7 @@ from . import kseq
 from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq,
                         _cofactors, _dots, is_general_position,
                         span_hyperplane)
-from .ordertype import _pencil, is_order_type_homogeneous
+from .ordertype import _pencils, is_order_type_homogeneous
 
 
 class EdgeContainedError(ValueError):
@@ -178,19 +180,21 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     lexicographic order and then the order of _keys.
 
     The keys are not enumerated.  Each D is F + (p,) with p = max D, and
-    the hyperplanes through a (d-1)-subset F form a pencil.  _pencil
-    sweeps it once and gives the best count of every such D, in O(1)
+    the hyperplanes through a (d-1)-subset F form a pencil.  _pencils
+    sweeps each once and gives the best count of every such D, in O(1)
     after sorting; the proof is in its docstring.  Scanning p upwards for
     each F in lexicographic order visits the D in lexicographic order.
     So the witness is fixed by re-reading the keys of a D only when it
     beats every earlier one: at most once per F, and at most n + 1 times
     in all, as the count lies in 0..n.
 
-    Cost: C(n-1, d-1) pencils, each with 2 cofactor vectors, 2n dot
-    products, a sort and an O(n) sweep, plus 2^d + 1 keys of length n
-    per witness, so O(n^(d-1) * (n log n + 2^d * d)) arithmetic
-    operations.  A scan over subsets takes C(n, d) cofactor vectors and
-    2^d side patterns of length n for each: O(2^d * n^(d+1)).
+    Cost: C(n-1, d-1) pencils, each a sort and an O(n) sweep on the
+    rows modulo F, which take sum_{j=1}^{d-1} C(n-d+j, j) quotients of n
+    rows in all (n - 1 in the plane, (n - 2) + C(n - 1, 2) in R^3) and
+    no cofactor vector, plus 2^d + 1 keys of length n per witness, so
+    O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations.  A scan over
+    subsets takes C(n, d) cofactor vectors and 2^d side patterns of
+    length n for each: O(2^d * n^(d+1)).
 
     A path from PolyPath is in general position.  On a dependent
     (d+1)-subset, which only a PolyPath._certified path can hold, the
@@ -208,8 +212,7 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     hom = seq._hom
     best = -1
     best_wit: CrossingWitness | None = None
-    for F in itertools.combinations(range(n - 1), d - 1):
-        pencil = _pencil(hom, F)
+    for F, pencil in _pencils(hom, d):
         if pencil is None:
             raise _subset_error(hom, d)
         counts, q = pencil

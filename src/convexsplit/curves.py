@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 from .crossing import ConvexDecomposition, PolyPath, decompose, max_crossings
 from .exactgeom import (IncrementalGeneralPosition, Point, as_point,
-                        as_rational, point_seq)
+                        as_rational)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -220,7 +220,7 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
             retries += 1
         else:
             raise SamplingError(cell, max_retries)
-    path = PolyPath._certified(point_seq(gp.points, dim=curve.dim))
+    path = PolyPath._certified(gp._seq())
     return EpsSample(eps, tuple(params), path, retries)
 
 

@@ -17,8 +17,12 @@ rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on integer
 quotients of the rows above.  Homogeneity, general position and greedy
 block extension all run on it, and where it fails ``_least_bad`` names
 the least subset of the wrong sign by the same recursion, with no subset
-scan.  ``PointSeq.orientation_of`` memoizes single tuples for callers
-that ask for them one at a time.
+scan.  The pencils of the flip test and the crossing oracle take their
+planes from the same quotients (ordertype._pencils).  On 3- and
+4-vectors ``_quotient`` is unrolled, and a row that shares the pivot's
+positive first coordinate maps to a plain difference, as the rows of
+integer points all do.  ``PointSeq.orientation_of`` memoizes single
+tuples for callers that ask for them one at a time.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -191,7 +195,27 @@ def _quotient(rows: Sequence[Sequence[int]], v: Sequence[int]
     scale rows 1..r-1 by a, subtract w[k]*v from each, which zeroes column
     k below v, and expand along column k.  Returns the mapped rows and
     eps = (-1)^k * sign(a)^r, so sign det(v, W) = eps * sign det(W').
+
+    For 3- and 4-vectors with k = 0 the map is unrolled, and when a > 0 a
+    row with w[0] = a maps to the plain difference w[1:] - v[1:] instead:
+    its exact row a * (w[1:] - v[1:]) divided by a.  With s such rows
+    among w_1..w_{r-1}, a^s * det(W') is the determinant of the exact
+    rows, so every sign, rank and primitive direction is theirs.  Rows
+    that share their first coordinate, as the rows of integer points
+    (all 1) do, take no product at all.
     """
+    a = v[0]
+    if a and 3 <= len(v) <= 4:
+        tie = a if a > 0 else None
+        if len(v) == 3:
+            _, p, q = v
+            return [(b - p, c - q) if m == tie
+                    else (a * b - m * p, a * c - m * q)
+                    for m, b, c in rows], 1 if a > 0 else -1
+        _, p, q, s = v
+        return [(b - p, c - q, e - s) if m == tie
+                else (a * b - m * p, a * c - m * q, a * e - m * s)
+                for m, b, c, e in rows], 1
     k = next(j for j, c in enumerate(v) if c)
     a = v[k]
     eps = -1 if k % 2 else 1
@@ -723,6 +747,15 @@ class IncrementalGeneralPosition:
         self.points.append(p)
         self._hom.append(hom)
         return None
+
+    def _seq(self) -> PointSeq:
+        """The committed points as a PointSeq that takes the stored rows as
+        its _hom, so no row is built again.  They are positive multiples of
+        the rows it would build, with the same signs and directions."""
+        seq = PointSeq(self.dim, tuple(self.points),
+                       tuple(range(len(self.points))))
+        seq.__dict__["_hom"] = tuple(self._hom)
+        return seq
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,16 @@ exactgeom._least_bad, from O(n^max(2, d-1)) determinants, which also
 names the witness.
 
 One sweep kernel serves the flip test and the crossing oracle
-(crossing.max_crossings): _pencil turns a hyperplane about d - 1
+(crossing.max_crossings): _pencils turns a hyperplane about every d - 1
 points F and counts, for every further point p, the most crossings of
 the path with a hyperplane through F + (p,).  That count is d plus the
 sign changes of the sign sequence of F + (p,) (see is_flip), so a
 general-position sequence is flip iff its path is (d+1)-crossing.  The
-C(n-1, d-1) pencils take O(n^(d-1) * n log n) operations, against
-O(n^(d+1)) for reading every d-subset's sign sequence.
+plane of each pencil is the rows modulo F, taken by the same quotient
+recursion as homogeneity, one quotient per prefix of F shared by every
+F that starts with it, so no cofactor vector is built.  The C(n-1, d-1)
+pencils take O(n^(d-1) * n log n) operations, against O(n^(d+1)) for
+reading every d-subset's sign sequence.
 """
 
 from __future__ import annotations
@@ -161,36 +164,46 @@ def count_sign_changes(s) -> int:
     return sum(1 for a, b in zip(entries, entries[1:]) if a != b)
 
 
-def _pencil(hom, F: tuple[int, ...]):
-    """Best count of every D = F + (p,) with p > max F, from one sweep of
-    the pencil of hyperplanes through the vertices F.
+def _pencils(hom, d: int):
+    """Sweep the pencil of hyperplanes through every (d-1)-subset F of the
+    first n - 1 vertices, in lexicographic order, and give the best count
+    of every D = F + (p,) with p > max F.
 
-    Returns (counts, q), or None on meeting a dependent (d+1)-subset of
-    vertices.  counts[p] is the best count of D: the most strict sign
-    changes along the vertex sides of a generic perturbation of h(D),
-    whose vertices D are pushed to chosen sides (crossing._keys lists
-    these hyperplanes).  As no (d+1)-subset containing F is dependent
-    once the sweep ends, that is d plus the sign changes of D's sign
-    sequence (see is_flip).  q maps the vertices to the plane, and the
-    vertex sides of h(D) are sign det(q(p), q(y)).  Cost: 2 cofactor
-    vectors, 2n dot products, a sort and an O(n) sweep.  It serves both
+    Yields (F, (counts, q)), or (F, None) when F + {x, y} is dependent
+    for some vertices x and y outside F, or F itself is.  counts[p] is
+    the best count of D: the most strict sign changes along the vertex
+    sides of a generic perturbation of h(D), whose vertices D are pushed
+    to chosen sides (crossing._keys lists these hyperplanes).  As no
+    (d+1)-subset containing F is dependent once the sweep ends, that is d
+    plus the sign changes of D's sign sequence (see is_flip).  q maps the
+    vertices to the plane, with sign det(q(x), q(y)) = sign det[F; x; y];
+    so the vertex sides of h(D) are sign det(q(p), q(y)).  Cost per F:
+    the exactgeom._quotient of the n rows by its last member (the levels
+    before are shared), a sort and an O(n) sweep.  It serves both
     crossing.max_crossings and is_flip.
 
-    Pencil: let B(x, y) = det[F; x; y], and a, b the first two vertices
-    outside F.  Then q(x) = (B(x, b), -s B(x, a)) with s = sign B(a, b)
-    has det(q(x), q(y)) = |B(a, b)| B(x, y).  This is the 2x2 identity
-    in the plane of rows modulo F, where B is a fixed multiple of the
-    2x2 determinant.  Two _cofactors vectors give every B(a, x) and
-    B(b, x).
+    Pencil: the rows modulo F are the plane of the pencil.  The rows are
+    taken mod the row of F[0], then mod the image of F[1], and so on, one
+    _quotient of all n rows per member, so the rows of F map to 0.  Each
+    prefix level serves every F that shares the prefix, as the recursion
+    of exactgeom._alternating does: sum_{j=1}^{d-1} C(n-d+j, j)
+    quotients in all, n - 1 in the plane and none on the line.  The
+    quotients' signs multiply to eps with sign det[F; x; y] = eps * sign
+    det(q(x), q(y)), and swapping q's coordinates when eps < 0 makes it
+    the same sign.  A zero pivot means F is dependent.
 
-    Sweep: scale each q(x) by a sign t(x) into the half-open upper
-    half-plane and sort the vertices by angle.  A line through the origin
-    turning from angle 0 to pi passes each q(x) once.  Up to one sign
-    shared by all y, y's side of the line through q(p) is t(y), negated
-    once the line has passed q(y).  So each event moves one vertex
-    across the hyperplane.
+    Sweep: scale each q(x) = (u, v) by t(x) = sign v, or sign u on the at
+    most one row with v = 0, into the half-open upper half-plane, and
+    sort the vertices by angle.  A line through the origin turning from
+    angle 0 to pi passes each q(x) once.  Up to one sign shared by all y,
+    y's side of the line through q(p) is t(y), negated once the line has
+    passed q(y).  So each event moves one vertex across the hyperplane.
     That changes two edges, and the count of crossed edges away from F
-    updates in O(1).
+    updates in O(1).  Past the row on angle 0, each row's angle rises
+    with -u/v, which scaling by t(x) keeps.  Two distinct ratios with
+    |v| <= V differ by at least 1/V^2, so floor(-u 4^k / v) with 2^k > V
+    is an exact integer key.  A zero row outside F, a second row on angle
+    0, or two equal keys is a pair x, y outside F with det[F; x; y] = 0.
 
     Counts at the event of p: the edges away from D cross the running
     count less p's crossed edges, call it R.  A perturbation scores R
@@ -207,64 +220,75 @@ def _pencil(hom, F: tuple[int, ...]):
     comes first on a tie, which crossing._keys settles.
     """
     n = len(hom)
-    rows = [hom[i] for i in F]
-    rest = [x for x in range(n) if x not in F]
-    a, b = rest[0], rest[1]
-    ua = _dots(_cofactors(rows + [hom[a]]), hom)
-    ub = _dots(_cofactors(rows + [hom[b]]), hom)
-    s = (ua[b] > 0) - (ua[b] < 0)
-    if not s:
-        return None
-    q = [(-v, s * w) for v, w in zip(ub, ua)]
-    # t[x + 1] is t(x), and 0 on F and past both ends.  q(a) = (B(a, b), 0)
-    # lies at angle 0 once scaled by t(a) = s.  Every other q(x) has
-    # v = s B(a, x) != 0 unless F + {a, x} is dependent; scaled into
-    # v > 0, its angle rises with -u/v.  Two distinct ratios with v <= V
-    # differ by at least 1/V^2, so floor(-u 4^k / v) with 2^k > V is an
-    # exact integer key.
-    t = [0] * (n + 2)
-    t[a + 1] = s
-    keyed = []
-    for x in rest[1:]:
-        u, v = q[x]
-        if not v:
+
+    def sweep(q, F):
+        vs = [v for _, v in q]
+        shift = 2 * max(max(vs), -min(vs)).bit_length()
+        order = {(-u << shift) // v: x for x, (u, v) in enumerate(q) if v}
+        # t[x + 1] is t(x), and 0 on F and past both ends.
+        t = [0]
+        t += [1 if v > 0 else -1 if v else (u > 0) - (u < 0) for u, v in q]
+        t.append(0)
+        # The rows of F are 0.  Outside F, a zero row, two rows on angle 0
+        # or two equal keys are two rows parallel mod F.
+        flat = vs.count(0) - len(F)
+        if (flat > 1 or t.count(0) > len(F) + 2
+                or len(order) + flat < n - len(F)):
             return None
-        t[x + 1] = 1 if v > 0 else -1
-        keyed.append((x, u * t[x + 1], v * t[x + 1]))
-    shift = 2 * max(v for _, _, v in keyed).bit_length()
-    keys = sorted(((-u << shift) // v, x) for x, u, v in keyed)
-    if any(k0 == k1 for (k0, _), (k1, _) in zip(keys, keys[1:])):
-        return None
+        events = [order[k] for k in sorted(order)]
+        if flat:
+            events.insert(0, next(x for x, v in enumerate(vs)
+                                  if not v and x not in F))
 
-    def edges(i: int, j: int) -> int:
-        l, r = t[i], t[j + 2]
-        return j - i + (l != 0) + (r != 0) - (l * r == (-1) ** (j - i + 1))
+        def edges(i: int, j: int) -> int:
+            l, r = t[i], t[j + 2]
+            return j - i + (l != 0) + (r != 0) - (l * r == (-1) ** (j - i + 1))
 
-    runs: list[list[int]] = []
-    for f in F:
-        if runs and runs[-1][1] == f - 1:
-            runs[-1][1] = f
-        else:
-            runs.append([f, f])
-    borders = {v for i, j in runs for v in (i - 1, j + 1)}
-    m = F[-1] if F else -1
-    on_f = sum(edges(i, j) for i, j in runs)
-    crossed = sum(1 for y in range(1, n) if t[y] * t[y + 1] < 0)
-    counts = [-1] * n
-    for p in [a] + [x for _, x in keys]:
-        tl, tp, tr = t[p], t[p + 1], t[p + 2]
-        if p > m:
-            away = crossed - (tl * tp < 0) - (tp * tr < 0)
-            if F and p == m + 1:
-                i = runs[-1][0]
-                counts[p] = away + on_f - edges(i, m) + edges(i, p)
+        runs: list[list[int]] = []
+        for f in F:
+            if runs and runs[-1][1] == f - 1:
+                runs[-1][1] = f
             else:
-                counts[p] = away + on_f + edges(p, p)
-        t[p + 1] = tp = -tp
-        crossed -= tp * (tl + tr)
-        if p in borders:
-            on_f = sum(edges(i, j) for i, j in runs)
-    return counts, q
+                runs.append([f, f])
+        borders = {v for i, j in runs for v in (i - 1, j + 1)}
+        m = F[-1] if F else -1
+        on_f = sum(edges(i, j) for i, j in runs)
+        crossed = sum(1 for y in range(1, n) if t[y] * t[y + 1] < 0)
+        counts = [-1] * n
+        for p in events:
+            tl, tp, tr = t[p], t[p + 1], t[p + 2]
+            if p > m:
+                away = crossed - (tl * tp < 0) - (tp * tr < 0)
+                if F and p == m + 1:
+                    i = runs[-1][0]
+                    counts[p] = away + on_f - edges(i, m) + edges(i, p)
+                else:
+                    counts[p] = away + on_f + edges(p, p)
+            t[p + 1] = tp = -tp
+            crossed -= tp * (tl + tr)
+            if p in borders:
+                on_f = sum(edges(i, j) for i, j in runs)
+        return counts
+
+    def level(rows, eps, F):
+        if len(F) == d - 1:
+            counts = sweep(rows, F)
+            if counts is None:
+                yield F, None
+            else:
+                yield F, (counts, rows if eps > 0
+                          else [(v, u) for u, v in rows])
+            return
+        for f in range(F[-1] + 1 if F else 0, n - d + len(F) + 1):
+            if any(rows[f]):
+                sub, e = exactgeom._quotient(rows, rows[f])
+                yield from level(sub, eps * e, F + (f,))
+            else:
+                for G in itertools.combinations(range(f + 1, n - 1),
+                                                d - 2 - len(F)):
+                    yield F + (f,) + G, None
+
+    return level(hom, 1, ())
 
 
 def is_flip(seq: PointSeq) -> FlipReport:
@@ -272,7 +296,7 @@ def is_flip(seq: PointSeq) -> FlipReport:
 
     The reported violation is the lexicographically least one.  Each
     d-subset D is F + (p,) with p = max D, and one sweep of the pencil
-    through F (see _pencil) gives the best crossing count of every such
+    through F (see _pencils) gives the best crossing count of every such
     D.  For n > d and D in general position, that count is d plus the
     sign changes of D's sign sequence, so D violates the flip property
     iff its count exceeds d + 1: a general-position sequence is flip iff
@@ -293,7 +317,9 @@ def is_flip(seq: PointSeq) -> FlipReport:
 
     F in lexicographic order and then p ascending visits D in
     lexicographic order, so the first count above d + 1 gives the
-    witness.  Cost: C(n-1, d-1) pencils, O(n^(d-1) * n log n)
+    witness.  Cost: C(n-1, d-1) pencils, each a sort and an O(n) sweep
+    on rows that the quotients of its prefix levels share, n - 1
+    quotients in the plane and no cofactor vector: O(n^(d-1) * n log n)
     arithmetic operations, where scanning every D's sign sequence takes
     C(n, d) cofactor vectors and about n * C(n, d) dot products,
     O(n^(d+1)).
@@ -308,13 +334,13 @@ def is_flip(seq: PointSeq) -> FlipReport:
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    for F in itertools.combinations(range(n - 1), d - 1):
-        pencil = _pencil(seq._hom, F)
+    for F, pencil in _pencils(seq._hom, d):
         if pencil is None:
             return _scan_flip(seq, F + (F[-1] + 1 if F else 0,))
-        for p, count in enumerate(pencil[0]):
-            if count > d + 1:
-                return FlipReport(False, witness=sign_sequence(seq, F + (p,)))
+        counts = pencil[0]
+        if max(counts) > d + 1:
+            p = next(p for p, c in enumerate(counts) if c > d + 1)
+            return FlipReport(False, witness=sign_sequence(seq, F + (p,)))
     return FlipReport(True)
 
 

@@ -517,6 +517,23 @@ class TestCounters:
         assert directions == []
         assert len(certified) == 400
 
+    @pytest.mark.parametrize("curve", [builtin("quintic"),
+                                       builtin("moment", dim=3)])
+    def test_sampled_path_keeps_the_certified_rows(self, curve,
+                                                   monkeypatch):
+        # One _hom_row per drawn point, inside try_add, and none for the
+        # path: its rows are the sampler's, each a positive multiple of
+        # its point's own row.
+        rows = count_calls(monkeypatch, exactgeom, "_hom_row")
+        sample = epsilon_sample(curve, Fraction(1, 16))
+        seq = sample.path.seq
+        hom = seq._hom
+        assert len(rows) == len(seq) + sample.retries
+        for p, row in zip(seq.points, hom):
+            own = _hom_row(p)
+            assert row[0] % own[0] == 0
+            assert row == tuple(row[0] // own[0] * c for c in own)
+
     def test_greedy_on_sample_makes_no_sign_at_calls(self, quintic_100,
                                                       monkeypatch):
         seq = epsilon_sample(*quintic_100).path.seq

@@ -386,13 +386,19 @@ class TestCounters:
     @pytest.mark.parametrize("d,n", [(1, 9), (2, 14), (3, 11), (4, 9)])
     def test_flip_makes_one_cofactor_run_per_subset(self, d, n,
                                                    monkeypatch):
-        # Two cofactor vectors per pencil of hyperplanes through d - 1
-        # points, where the subset scan made one per d-subset.
+        # The subset scan made one cofactor vector per d-subset, and the
+        # first pencil sweep two per pencil.  On the quotient kernel the
+        # pencils make none: one quotient per node of the prefix tree of
+        # the (d-1)-subsets, n - 1 in the plane.
         seq = moment_seq(n, d)
-        cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
+        cofactors = [count_calls(monkeypatch, owner, "_cofactors")
+                     for owner in (exactgeom, ordertype)]
+        quotients = count_calls(monkeypatch, exactgeom, "_quotient")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         assert is_flip(seq)
-        assert len(cofactors) == 2 * math.comb(n - 1, d - 1)
+        assert cofactors == [[], []]
+        assert len(quotients) == sum(math.comb(n - d + j, j)
+                                     for j in range(1, d))
         assert orients == []
         assert seq._sign_cache == {}
 

@@ -3,7 +3,7 @@ replaced.
 
 ``is_flip`` visits each d-subset D of points as F + (p,), with F a
 (d-1)-subset and p = max D, and reads D's best crossing count off one
-sweep of the pencil of hyperplanes through F (``ordertype._pencil``).
+sweep of the pencil of hyperplanes through F (``ordertype._pencils``).
 On general-position input that count is d plus the sign changes of D's
 sign sequence, so D breaks the flip property iff it exceeds d + 1.  The
 oracle below is the replaced scan: every D's sign sequence in
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from convexsplit import cli
 from convexsplit.exactgeom import is_general_position, point_seq
-from convexsplit.ordertype import (FlipReport, _pencil, count_sign_changes,
+from convexsplit.ordertype import (FlipReport, _pencils, count_sign_changes,
                                    is_flip, is_order_type_homogeneous,
                                    sign_sequence)
 from test_cofactor_kernel import curve_paths, outcome, point_sets
@@ -101,8 +101,7 @@ class TestIdentity:
         n = len(seq)
         if n <= d or not is_general_position(seq):
             return
-        for F in itertools.combinations(range(n - 1), d - 1):
-            counts, _ = _pencil(seq._hom, F)
+        for F, (counts, _) in _pencils(seq._hom, d):
             for p in range(F[-1] + 1 if F else 0, n):
                 ss = sign_sequence(seq, F + (p,))
                 assert counts[p] == d + count_sign_changes(ss)

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexsplit import cli, ordertype
+from convexsplit import cli, crossing, exactgeom, ordertype
 from convexsplit.crossing import (CrossingReport, CrossingWitness, PolyPath,
                                   _strict_flips, decompose, max_crossings)
 from convexsplit.exactgeom import (GeneralPositionError, _cofactors, _dots,
@@ -69,6 +69,13 @@ def subset_max_crossings(path):
                 best = count
                 best_wit = CrossingWitness("perturbed", subset, assigned)
     return CrossingReport(best, best_wit)
+
+
+def pencil_quotients(n, d):
+    """Quotients that ordertype._pencils takes on n rows in R^d: one per
+    j-prefix of the (d-1)-subsets of range(n - 1), that is C(n-d+j, j)
+    for each level j = 1..d-1."""
+    return sum(math.comb(n - d + j, j) for j in range(1, d))
 
 
 @st.composite
@@ -143,10 +150,16 @@ class TestDifferential:
 class TestCost:
     @pytest.mark.parametrize("d,n", [(1, 12), (2, 14), (3, 11), (4, 9)])
     def test_two_cofactor_vectors_per_pencil(self, d, n, monkeypatch):
+        # The name is the mechanism's before the pencils moved onto the
+        # quotient kernel: now no cofactor vector, and one quotient per
+        # node of the prefix tree of the (d-1)-subsets F.
         path = PolyPath(random_moment_seq(n, d))
-        cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
+        cofactors = [count_calls(monkeypatch, owner, "_cofactors")
+                     for owner in (exactgeom, ordertype, crossing)]
+        quotients = count_calls(monkeypatch, exactgeom, "_quotient")
         assert max_crossings(path).max_crossings == d
-        assert len(cofactors) == 2 * math.comb(n - 1, d - 1)
+        assert cofactors == [[], [], []]
+        assert len(quotients) == pencil_quotients(n, d)
 
     @staticmethod
     def _crossings(tmp_path, rows, *extra):

@@ -117,17 +117,31 @@ class TestAlternating:
     @given(st.integers(2, 6), st.data())
     @settings(max_examples=200, deadline=None)
     def test_quotient_identity(self, r, data):
-        # a^(r-2) * det(v, W) == (-1)^k * det(W mod v), and eps is the sign
-        # of (-1)^k * a^(r-2)
+        # a^(r-2) * det(v, W) == (-1)^k * a^s * det(W mod v), and eps is
+        # the sign of (-1)^k * a^(r-2).  s counts the rows mapped to plain
+        # differences: for 3- and 4-vectors with a = v[0] > 0, a row with
+        # w[0] = a maps to its exact row a*w - a*v, coordinate 0 dropped,
+        # divided by a.  Half of the rows are given v's first coordinate.
         entry = st.integers(-5, 5)
         v = data.draw(st.tuples(*[entry] * r).filter(any))
         ws = data.draw(st.lists(st.tuples(*[entry] * r), min_size=r - 1,
                                 max_size=r - 1))
+        ws = [(v[0],) + w[1:] if data.draw(st.booleans()) else w
+              for w in ws]
         sub, eps = _quotient(ws, v)
         k = next(j for j, c in enumerate(v) if c)
-        lhs = v[k] ** (r - 2) * _bareiss_det([v] + ws)
-        assert lhs == (-1) ** k * _bareiss_det(sub)
-        assert eps == (-1) ** k * (1 if v[k] ** (r - 2) > 0 else -1)
+        a = v[k]
+        exact = [tuple(a * x - w[k] * y for x, y in
+                       zip(w[:k] + w[k + 1:], v[:k] + v[k + 1:]))
+                 for w in ws]
+        diff = [k == 0 and a > 0 and r in (3, 4) and w[0] == a for w in ws]
+        assert sub == [tuple(x - y for x, y in zip(w[1:], v[1:])) if t
+                       else row for w, row, t in zip(ws, exact, diff)]
+        assert [tuple(a * c for c in row) if t else row
+                for row, t in zip(sub, diff)] == exact
+        lhs = a ** (r - 2) * _bareiss_det([v] + ws)
+        assert lhs == (-1) ** k * a ** sum(diff) * _bareiss_det(sub)
+        assert eps == (-1) ** k * (1 if a ** (r - 2) > 0 else -1)
 
     def test_too_few_rows_keep_sigma(self):
         assert _alternating([], 1) == 1
