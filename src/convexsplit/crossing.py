@@ -106,12 +106,7 @@ class CrossingReport:
 
 
 def _vertex_sides(path: PolyPath, h: Hyperplane) -> list[int]:
-    coeffs = h._int_coeffs
-    sides = []
-    for row in path.seq._hom:
-        s = sum(c * x for c, x in zip(coeffs, row))
-        sides.append((s > 0) - (s < 0))
-    return sides
+    return [(s > 0) - (s < 0) for s in _dots(h._int_coeffs, path.seq._hom)]
 
 
 def crossings_with(path: PolyPath, h: Hyperplane) -> int:

@@ -24,6 +24,8 @@ from .exactgeom import (IncrementalGeneralPosition, Point, as_point,
                         as_rational)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_JITTER_DENOMINATOR = 4096
+_MAX_RETRIES = 32
 
 
 class SamplingError(RuntimeError):
@@ -174,17 +176,15 @@ class EpsSample:
     retries: int
 
 
-def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
-                   jitter_denominator: int = 4096,
-                   max_retries: int = 32) -> EpsSample:
+def epsilon_sample(curve: CurveSpec, eps, seed: int = 0) -> EpsSample:
     """Sample the curve with one parameter in every length-(eps/2) cell.
 
     Consecutive parameters then differ by less than eps, so the inscribed
     path cannot skip features wider than eps.  Jitter offsets are rationals
-    r/jitter_denominator with 0 < r < jitter_denominator drawn from a
+    r/_JITTER_DENOMINATOR with 0 < r < _JITTER_DENOMINATOR drawn from a
     seeded splitmix64 stream; a cell is retried (fresh jitter) when its
     point would break general position, and SamplingError is raised after
-    max_retries failures in one cell.
+    _MAX_RETRIES failures in one cell.
 
     General position is certified once, as the points arrive, by
     IncrementalGeneralPosition: n points take C(n, 2) + ... + C(n, d)
@@ -199,9 +199,6 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
     eps = as_rational(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    q = int(jitter_denominator)
-    if q < 2:
-        raise ValueError("jitter_denominator must be >= 2")
     lo, hi = curve.domain
     cells = max(2, math.ceil(2 * (hi - lo) / eps))
     width = (hi - lo) / cells
@@ -211,15 +208,15 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0, *,
     retries = 0
     for cell in range(cells):
         cell_lo = lo + cell * width
-        for _ in range(max_retries):
-            r = 1 + rng.next_u64() % (q - 1)
-            t = cell_lo + width * Fraction(r, q)
+        for _ in range(_MAX_RETRIES):
+            r = 1 + rng.next_u64() % (_JITTER_DENOMINATOR - 1)
+            t = cell_lo + width * Fraction(r, _JITTER_DENOMINATOR)
             if gp.try_add(as_point(curve.evaluator(t))) is None:
                 params.append(t)
                 break
             retries += 1
         else:
-            raise SamplingError(cell, max_retries)
+            raise SamplingError(cell, _MAX_RETRIES)
     path = PolyPath._certified(gp._seq())
     return EpsSample(eps, tuple(params), path, retries)
 

@@ -5,24 +5,26 @@ determinant.  All of them are evaluated exactly: coordinates are
 ``fractions.Fraction``, and rows are cleared to integer homogeneous rows
 (L, L*x), so no sign is ever rounded.
 
-One integer kernel carries the orientations: ``_cofactors`` maps d rows to
-the integer vector c(D) with c(D) . x = det(D + [x]) for every row x, i.e.
-the hyperplane through the d points.  It is hand-expanded for d <= 3; only
-the minors for d >= 4 run through fraction-free Bareiss elimination.  A
-sign sequence takes c(D) once and then one integer dot product per
-remaining point.  When the signs of all (d+1)-tuples should agree,
+One integer elimination step carries every sign and rank: ``_quotient``
+takes rows modulo a nonzero row v, one coordinate shorter, with a sign
+eps such that det(v, W) has the sign of eps * det(W mod v).
+``_det_sign`` loops it down to a hand-expanded 3x3, and ``_rank``
+recurses on it.  When the signs of all (d+1)-tuples should agree,
 ``_alternating`` proves it from O(n^(d-1)) determinants, in every
 dimension: a base determinant and the per-row step ``_extends`` for
-rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on integer
-quotients of the rows above.  Homogeneity, general position and greedy
-block extension all run on it, and where it fails ``_least_bad`` names
-the least subset of the wrong sign by the same recursion, with no subset
-scan.  The pencils of the flip test and the crossing oracle take their
-planes from the same quotients (ordertype._pencils).  On 3- and
-4-vectors ``_quotient`` is unrolled, and a row that shares the pivot's
-positive first coordinate maps to a plain difference, as the rows of
-integer points all do.  ``PointSeq.orientation_of`` memoizes single
-tuples for callers that ask for them one at a time.
+rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on quotients
+above.  Homogeneity, general position and greedy block extension all
+run on it, and where it fails ``_least_bad`` names the least subset of
+the wrong sign by the same recursion, with no subset scan.  The pencils
+of the flip test and the crossing oracle take their planes from the
+same quotients (ordertype._pencils).  On 3- and 4-vectors ``_quotient``
+is unrolled, and a row that shares the pivot's positive first coordinate
+maps to a plain difference, as the rows of integer points all do.
+``PointSeq.orientation_of`` memoizes single tuples for callers that ask
+for them one at a time.  Exact values are left to fraction-free Bareiss
+elimination (``det_rational``), and hyperplanes to ``_cofactors``: the
+integer vector c(D) with c(D) . x = det(D + [x]) for every row x,
+hand-expanded for d <= 3 and from Bareiss minors above.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -172,17 +174,31 @@ def _dots(c: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
 
 
 def _det_sign(rows: Sequence[Sequence[int]]) -> int:
-    # Hand-expanded small cases; they carry nearly all of the workload.
+    """Sign of the determinant of a square integer matrix.
+
+    Up to 3x3 it is hand-expanded; those carry nearly all of the workload.
+    Above that, a loop takes the first row v out by _quotient, det(v, W)
+    having the sign of eps * det(W mod v), until a 3x3 is left; a zero v
+    gives 0.  No cofactor vector or Bareiss minor is built.
+    """
     n = len(rows)
-    if n == 2:
-        (a, b), (c, d) = rows
-        v = a * d - b * c
-    elif n == 3:
+    sign = 1
+    while n > 3:
+        v = rows[0]
+        if not any(v):
+            return 0
+        rows, eps = _quotient(rows[1:], v)
+        sign *= eps
+        n -= 1
+    if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         v = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    elif n == 2:
+        (a, b), (c, d) = rows
+        v = a * d - b * c
     else:
-        (v,) = _dots(_cofactors(rows[:-1]), rows[-1:])
-    return (v > 0) - (v < 0)
+        ((v,),) = rows
+    return sign if v > 0 else -sign if v < 0 else 0
 
 
 def _quotient(rows: Sequence[Sequence[int]], v: Sequence[int]
@@ -371,7 +387,11 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
 
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant of a square rational matrix."""
+    """Exact determinant of a square rational matrix; a matrix that is not
+    square raises DimensionMismatchError."""
+    if any(len(row) != len(rows) for row in rows):
+        raise DimensionMismatchError(
+            f"determinant of a non-square matrix with {len(rows)} rows")
     scale = 1
     scaled = []
     for row in rows:
@@ -382,28 +402,19 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                a, b = m[r][c], m[i][c]
-                m[i] = [m[i][j] * a - m[r][j] * b for j in range(ncols)]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of the integer rows: 0 when none is nonzero, else 1 plus the
+    rank of the later rows modulo the first nonzero one v (_quotient, a
+    map whose kernel is the span of v)."""
+    for i, v in enumerate(rows):
+        if any(v):
+            return 1 + _rank(_quotient(rows[i + 1:], v)[0])
+    return 0
 
 
 def affinely_independent(pts: Sequence[Point]) -> bool:
     rows = list(map(_hom_row, pts))
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise DimensionMismatchError("points of mixed dimension")
     return _rank(rows) == len(pts)
 
 
@@ -520,21 +531,13 @@ def _direction(p: Sequence[int], q: Sequence[int]) -> tuple[int, ...] | None:
     when q is a multiple of p.
 
     q mod p is _quotient's row, divided by its gcd with its leading nonzero
-    entry made positive; q and q' share it iff {p, q, q'} has rank 2.  On
+    entry made positive; q and q' share it iff {p, q, q'} has rank 2.  A
+    difference row is the exact row over p[0] > 0, so it gives the same
+    direction, and every length takes this one path.  On
     homogeneous point rows (L, L*x) and (M, M*y), L, M > 0 (_hom_row), it
     is L*M*(y - x) made primitive: the direction of the line through the
     two points, the same for either order and None iff they coincide.
     """
-    l, m = p[0], q[0]
-    if l and len(p) == 3:
-        x = l * q[1] - m * p[1]
-        y = l * q[2] - m * p[2]
-        if not (x or y):
-            return None
-        g = math.gcd(x, y)
-        if x < 0 or (x == 0 and y < 0):
-            g = -g
-        return (x // g, y // g)
     (v,), _ = _quotient((q,), p)
     g = math.gcd(*v)
     if g == 0:
@@ -790,7 +793,7 @@ def side_of(h: Hyperplane, p) -> int:
     p = as_point(p)
     if len(p) != len(h.normal):
         raise DimensionMismatchError("point/hyperplane dimension mismatch")
-    s = sum(c * x for c, x in zip(h._int_coeffs, _hom_row(p)))
+    (s,) = _dots(h._int_coeffs, (_hom_row(p),))
     return (s > 0) - (s < 0)
 
 

@@ -85,11 +85,15 @@ def from_table(k: int, elements: Iterable, table: Mapping) -> KSequence:
     """Abstract k-sequence from a complete sign table.
 
     Table keys may be tuples or frozensets of element ids; the table must
-    cover every (k+1)-subset.
+    cover every (k+1)-subset, and every sign must be the int -1 or +1
+    (not a bool or a float), read or not.
     """
     elements = tuple(elements)
     canon: dict[frozenset, int] = {}
     for key, sign in table.items():
+        if type(sign) is not int or sign not in (-1, 1):
+            raise ValueError(f"sign of {key} must be -1 or +1, "
+                             f"got {sign!r}")
         canon[frozenset(key)] = sign
     for subset in itertools.combinations(elements, k + 1):
         if frozenset(subset) not in canon:

@@ -105,9 +105,7 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
         sigma = _alternating(hom)
         if sigma:
             return HomogeneityReport(True, sign=sigma)
-    # The first tuple's sign by the quotient recursion: from R^3 up a
-    # direct determinant would build a cofactor vector.
-    sigma = _alternating(hom[:d + 1])
+    sigma = exactgeom._det_sign(hom[:d + 1])
     # A zero first tuple is the least witness for either sign.
     wit = _least_bad(hom, sigma or 1)
     if wit is None:

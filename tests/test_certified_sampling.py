@@ -30,12 +30,12 @@ from convexsplit import cli, exactgeom, kseq
 from convexsplit.crossing import PolyPath
 from convexsplit.curves import builtin, epsilon_sample
 from convexsplit.exactgeom import (_KEY_BITS, DimensionMismatchError,
-                                   IncrementalGeneralPosition, _det_sign,
-                                   _direction, _equal_pair, _hom_row,
-                                   _least_dependent, _rank, _slopes_distinct,
-                                   as_point, is_general_position, point_seq)
+                                   IncrementalGeneralPosition, _direction,
+                                   _equal_pair, _hom_row, _least_dependent,
+                                   _slopes_distinct, as_point,
+                                   is_general_position, point_seq)
 from convexsplit.kseq import KSequence, from_points, from_table
-from test_cofactor_kernel import count_calls
+from test_cofactor_kernel import bareiss_sign, count_calls, elimination_rank
 
 
 def fraction_direction(p, q):
@@ -83,9 +83,9 @@ class DirsIncrementalGeneralPosition:
             for idx in itertools.combinations(range(i), size - 1):
                 rows = [self._hom[j] for j in idx] + [hom]
                 if full:
-                    if _det_sign(rows) == 0:
+                    if bareiss_sign(rows) == 0:
                         return idx + (i,)
-                elif _rank(rows) < size:
+                elif elimination_rank(rows) < size:
                     return idx + (i,)
         for a, d in enumerate(new_dirs):
             self._dirs[a][d] = i
@@ -200,10 +200,10 @@ class TestIntegerDirection:
             a, b = data.draw(small), data.draw(small)
             q2 = [a * x + b * y for x, y in zip(q, p)]
         dq, dq2 = _direction(p, q), _direction(p, q2)
-        assert (dq is None) == (_rank([p, q]) < 2)
-        assert (dq2 is None) == (_rank([p, q2]) < 2)
+        assert (dq is None) == (elimination_rank([p, q]) < 2)
+        assert (dq2 is None) == (elimination_rank([p, q2]) < 2)
         if dq is not None and dq2 is not None:
-            assert (dq == dq2) == (_rank([p, q, q2]) == 2)
+            assert (dq == dq2) == (elimination_rank([p, q, q2]) == 2)
 
     def test_uses_no_fraction_arithmetic(self, monkeypatch):
         def forbidden(*args):
@@ -267,7 +267,7 @@ def brute_least_dependent(rows, size):
     """Reference: the lexicographically least size-subset of rank below
     size, by elimination on every subset."""
     return next((idx for idx in itertools.combinations(range(len(rows)), size)
-                 if _rank([rows[i] for i in idx]) < size), None)
+                 if elimination_rank([rows[i] for i in idx]) < size), None)
 
 
 class TestLeastDependent:

@@ -574,6 +574,23 @@ class TestReduce:
         code, _ = run(["reduce", "--input", path], expect_report=False)
         assert code == 2
 
+    # k = 1 on 1..8 with every pair +1 but {1, 5}: greedy reads {1, 2}
+    # and never {3, 6}.  A bad sign is a usage error wherever it stands.
+    @pytest.mark.parametrize("command", ["reduce", "flip"])
+    @pytest.mark.parametrize("pair", [(3, 6), (1, 2)])
+    @pytest.mark.parametrize("sign", [7, True])
+    def test_sign_that_is_not_plus_or_minus_one(self, run, tmp_path,
+                                                command, pair, sign):
+        elements = list(range(1, 9))
+        table = {"k": 1, "elements": elements, "signs": [
+            {"subset": [a, b],
+             "sign": sign if (a, b) == pair else -1 if (a, b) == (1, 5)
+             else 1}
+            for a in elements for b in elements if a < b]}
+        path = write(tmp_path, "t.json", json.dumps(table))
+        code, _ = run([command, "--input", path], expect_report=False)
+        assert code == 2
+
 
 class TestBounds:
     def test_range(self, run):

@@ -33,7 +33,7 @@ from convexsplit.exactgeom import (GeneralPositionError,
                                    GeneralPositionReport, Hyperplane,
                                    Point, PointSeq, _bareiss_det,
                                    _cofactors, _det_sign, _direction,
-                                   _hom_row, _rank, as_point,
+                                   _hom_row, as_point,
                                    is_general_position, point_seq,
                                    span_hyperplane)
 from convexsplit.ordertype import (FlipReport, SignSeq, count_sign_changes,
@@ -45,6 +45,29 @@ from test_local_convexity import scan_homogeneous
 def bareiss_sign(rows):
     v = _bareiss_det(rows)
     return (v > 0) - (v < 0)
+
+
+def elimination_rank(rows):
+    """Reference: rank by integer row-echelon elimination, the loop that
+    exactgeom._rank ran before it recursed on _quotient."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                a, b = m[r][c], m[i][c]
+                m[i] = [m[i][j] * a - m[r][j] * b for j in range(ncols)]
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def old_tuple_sign(seq, idx):
@@ -132,7 +155,7 @@ def old_is_general_position(seq):
             if full:
                 if bareiss_sign(rows) == 0:
                     return GeneralPositionReport(False, idx)
-            elif _rank(rows) < size:
+            elif elimination_rank(rows) < size:
                 return GeneralPositionReport(False, idx)
     return GeneralPositionReport(True)
 
@@ -431,11 +454,14 @@ class TestCounters:
         ts = [Fraction(3 * i + 2, 384) - 1 for i in range(n)]
         seq = point_seq([(t, t * t, t ** 4) for t in ts])
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
-        alternating = count_calls(monkeypatch, ordertype, "_alternating")
         report = is_order_type_homogeneous(seq)
         assert report.witness == ((0, 1, 2, 3), (126, 127, 128, 129))
         assert len(dets) <= 3 * math.comb(n, 2) + 1
-        assert [len(rows) for rows, in alternating] == [4]
+        # The first tuple's sign is one 4-row determinant; the only other
+        # is the witness's re-check.
+        assert [i for i, (rows,) in enumerate(dets) if len(rows) == 4] == \
+            [0, len(dets) - 1]
+        assert list(dets[0][0]) == list(seq._hom[:4])
 
     @pytest.mark.parametrize("d,n", [(3, 4), (3, 40), (4, 5), (4, 16)])
     def test_homogeneous_input_costs_one_determinant_more(self, d, n,

@@ -154,9 +154,6 @@ class TestEpsilonSample:
     def test_eps_validation(self):
         with pytest.raises(ValueError):
             epsilon_sample(builtin("quintic"), 0)
-        with pytest.raises(ValueError):
-            epsilon_sample(builtin("quintic"), F(1, 4),
-                           jitter_denominator=1)
 
     def test_straight_line_exhausts_retries(self):
         line = builtin("poly", coeffs=[[0, 1], [0, 1]])

@@ -146,6 +146,16 @@ class TestDeterminant:
         rows = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
         assert det_rational(rows) == -1
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 2]],
+        [[1, 2, 3], [4, 5]],
+        [[1, 2], [3, 4], [5, 6]],
+        [[1], [2, 3]],
+    ])
+    def test_rejects_a_matrix_that_is_not_square(self, rows):
+        with pytest.raises(DimensionMismatchError):
+            det_rational([[Fraction(v) for v in r] for r in rows])
+
 
 class TestGeneralPosition:
     def test_collinear_witness(self):
@@ -178,6 +188,12 @@ class TestGeneralPosition:
     def test_dim1_needs_distinct_only(self):
         assert is_general_position(point_seq([(0,), (2,), (1,)]))
         assert not is_general_position(point_seq([(0,), (2,), (0,)]))
+
+    def test_affinely_independent_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatchError):
+            affinely_independent([(0, 0), (1,)])
+        with pytest.raises(DimensionMismatchError):
+            affinely_independent([(0,), (1, 0), (2, 1)])
 
     def test_witness_is_minimal(self):
         seq = point_seq([(0, 0), (1, 1), (2, 2), (0, 1)])

@@ -85,6 +85,13 @@ class TestKSequence:
         with pytest.raises(ValueError):
             from_table(1, ("x", "y", "z"), {("x", "y"): 1, ("x", "z"): 1})
 
+    @pytest.mark.parametrize("sign", [7, 0, True, 1.0, "1", None])
+    def test_from_table_takes_only_the_int_signs(self, sign):
+        # True == 1 in Python, but a JSON true is not a sign.
+        table = {("x", "y"): 1, ("x", "z"): -1, ("y", "z"): sign}
+        with pytest.raises(ValueError, match="must be -1 or \\+1"):
+            from_table(1, ("x", "y", "z"), table)
+
     def test_restrict_keeps_oracle(self):
         s = pairs_example()
         r = s.restrict([0, 2, 3])
