@@ -9,7 +9,9 @@ tests for the i-th point in R^d: integer slope keys in the plane, and
 exact integer directions where those do not settle a point.  The
 sampler's points lie on a fixed parameter grid of a curve with fixed
 coefficients, so their planar rows share one small common denominator,
-and each slope key is a plain difference quotient.
+and their x-coordinates a smaller one still: each slope key is a plain
+difference quotient whose divisor is a difference of x-coordinates over
+that smaller denominator, one machine digit on the 400-point quintic.
 """
 
 from __future__ import annotations
@@ -189,10 +191,11 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0) -> EpsSample:
     General position is certified once, as the points arrive, by
     IncrementalGeneralPosition: n points take C(n, 2) + ... + C(n, d)
     rank-2 tests and O(n) memory.  In the plane that is one integer slope
-    key per pair, two subtractions, a shift and a divide while the point's
-    denominator divides the rows' shared one (a point that does not
-    rescales the rows once when it is kept), and exact directions are
-    hashed only for a point whose keys collide, or that is vertically
+    key per pair, two subtractions, a shift and a divide by a difference
+    of x-coordinates over their own shared denominator, while the point's
+    denominators divide the shared ones (a point whose do not rescales
+    the rows or the x-column once when it is kept), and exact directions
+    are hashed only for a point whose keys collide, or that is vertically
     above an earlier one.  The returned path reuses that certificate
     instead of checking its vertices again.
     """

@@ -15,11 +15,13 @@ dimension: a base determinant and the per-row step ``_extends`` for
 rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on quotients
 above.  Homogeneity, general position and greedy block extension all
 run on it, and where it fails ``_least_bad`` names the least subset of
-the wrong sign by the same recursion, with no subset scan.  The pencils
-of the flip test and the crossing oracle take their planes from the
-same quotients (ordertype._pencils).  On 3- and 4-vectors ``_quotient``
-is unrolled, and a row that shares the pivot's positive first coordinate
-maps to a plain difference, as the rows of integer points all do.
+the wrong sign by the same recursion, with no subset scan; at rank 2 by
+two linear scans, one of them keeping the cone of the later rows.  The
+pencils of the flip test and the crossing oracle take their planes from
+the same quotients (ordertype._pencils).  On 3- and 4-vectors
+``_quotient`` is unrolled, and a row that shares the pivot's positive
+first coordinate maps to a plain difference, as the rows of integer
+points all do.
 ``PointSeq.orientation_of`` memoizes single tuples for callers that ask
 for them one at a time.  Exact values are left to fraction-free Bareiss
 elimination (``det_rational``), and hyperplanes to ``_cofactors``: the
@@ -33,8 +35,9 @@ can only accept; where it declines, ``_direction`` hashes exact
 primitive directions, so every witness comes from that hash.  The
 incremental check in the plane keeps its rows over one shared first
 coordinate, the lcm of the point denominators while a width guard
-allows, and there a key is two subtractions, a shift and a divide
-(``IncrementalGeneralPosition``).
+allows, and an x-column over the lcm of the x-denominators; there a key
+is two subtractions, a shift and a divide by a difference of the column,
+as wide as that smaller lcm (``IncrementalGeneralPosition``).
 """
 
 from __future__ import annotations
@@ -357,16 +360,52 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
     whose least member is later.  So the least witness is that of the
     first anchor a that has one: the least witness of its quotient rows
     for tau * eps_a, or (a, ..., a + r - 1) when v_a = 0.  At rank 1 a row
-    is its own determinant, and at rank 2 the 2x2 determinants against
-    the later rows are read directly.  Above that, _alternating proves
-    each clean anchor, so O(m^max(2, r-2)) determinants in all.
+    is its own determinant.  From rank 3 up, _alternating proves each
+    clean anchor, so O(m^max(2, r-2)) determinants in all.
+
+    Rank 2 takes O(m) determinants.  Anchor a is clean iff v_a != 0 and
+    every later row lies strictly tau-left of it, i.e. in the open
+    half-plane {u : tau * det(v_a, u) > 0}.  A scan from the end keeps
+    the cone of the rows after a: its extreme rays e and f, f at most pi
+    tau-left of e, or "in no open half-plane", which a zero row or an
+    antiparallel pair also makes.  Every later row is a nonnegative,
+    nonzero combination of e and f, and the half-plane is a convex cone,
+    so a is clean iff e and f both lie in it: then v_a is the cone's new
+    e.  Once the later rows lie in no open half-plane, no anchor up to a
+    is clean.  The least anchor that is not clean is the witness's
+    first member, and one forward scan finds its least partner.
     """
     r = len(rows[0])
     if r == 2:
-        # Dividing a row by a positive integer keeps every sign, and makes
-        # the integers in the O(m^2) products below smaller.
-        gs = [math.gcd(*v) or 1 for v in rows]
-        rows = [(x // g, y // g) for (x, y), g in zip(rows, gs)]
+        m = len(rows)
+        e = f = rows[m - 1]
+        first = None
+        for a in range(m - 2, -1, -1):
+            v = x, y = rows[a]
+            p, q = e
+            g = tau * (x * q - y * p)
+            s, t = f
+            h = tau * (x * t - y * s)
+            if g > 0 and h > 0:
+                e = v
+                continue
+            first = a
+            if g < 0 and h < 0:
+                f = v
+            elif not (g <= 0 <= h and (g or h or x * p + y * q > 0)):
+                # v is outside the cone, opposite to it, zero, or the cone
+                # holds a zero row: no open half-plane holds the rows
+                first = 0
+                break
+        if first is None:
+            return None
+        x, y = rows[first]
+        if not (x or y):
+            return (first, first + 1)
+        for j in range(first + 1, m):
+            p, q = rows[j]
+            if tau * (x * q - y * p) <= 0:
+                return (first, j)
     for a in range(len(rows) - r + 1):
         v = rows[a]
         if not any(v):
@@ -374,11 +413,6 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
         if r == 1:
             if tau * v[0] < 0:
                 return (a,)
-        elif r == 2:
-            x, y = v
-            for j, (p, q) in enumerate(rows[a + 1:], a + 1):
-                if tau * (x * q - y * p) <= 0:
-                    return (a, j)
         else:
             sub, eps = _quotient(rows[a + 1:], v)
             if not _alternating(sub, tau * eps):
@@ -566,7 +600,7 @@ def _equal_pair(keys: Iterable, first: bool = False
 _KEY_BITS = 64
 
 
-def _slopes_distinct(v, rows, shared=False):
+def _slopes_distinct(v, rows, column=None):
     """True only if no row is 0 mod v and no two rows are parallel mod v,
     for 3-vectors with v[0] != 0.  False decides nothing.
 
@@ -575,22 +609,26 @@ def _slopes_distinct(v, rows, shared=False):
     floor(2^_KEY_BITS * y / x).  The key is a function of the slope y/x,
     and parallel rows share their slope, so if every x is nonzero and the
     keys are pairwise distinct, no row is 0 and no two are parallel.  Only
-    integers are used.  With ``shared``, every row has first coordinate
-    m = l > 0, so (x, y) = l * (b - p1, c - p2): the same slope, and the
-    same key, from two subtractions and no product.  A vertical row, or
-    two distinct slopes less than 2^-_KEY_BITS apart whose keys collide,
+    integers are used.  With ``column`` = (X0, xs), every row has first
+    coordinate m = l > 0, so (x, y) = l * (b - p1, c - p2), and xs holds
+    the rows' x-coordinates times a positive constant K that divides l,
+    X0 being v's: b - p1 = (l / K) * (X - X0).  Then the key
+    floor(2^_KEY_BITS * (c - p2) / (X - X0)) is the slope times the
+    positive constant l / K, still a function of the slope, and its
+    divisor is only as wide as the x-coordinates' own common denominator
+    makes it.  A vertical row, or two distinct slopes whose keys collide,
     sends the caller to the exact _direction hash: _KEY_BITS changes how
     often that happens, never an answer.
     """
     l, p1, p2 = v
-    keys = set()
-    if shared:
-        for _, b, c in rows:
-            x = b - p1
-            if not x:
-                return False
-            keys.add(((c - p2) << _KEY_BITS) // x)
+    if column:
+        x0, xs = column
+        if x0 in xs:
+            return False
+        keys = {((c - p2) << _KEY_BITS) // (x - x0)
+                for (_, _, c), x in zip(rows, xs)}
     else:
+        keys = set()
         for m, b, c in rows:
             x = l * b - m * p1
             if not x:
@@ -668,30 +706,38 @@ class IncrementalGeneralPosition:
     ``try_add`` either commits the point and returns None, or leaves the
     state untouched and returns a witness subset (indices, the new point
     being the next index).  The state is the committed points, their
-    homogeneous rows and the rows' shared first coordinate, which only the
-    plane reads: O(n) in all; no per-pair data is kept.
+    homogeneous rows, the rows' shared first coordinate and an x-column
+    over its own shared denominator, which only the plane reads: O(n) in
+    all; no per-pair data is kept.
 
     Every stored row is a positive multiple of its point's _hom_row, so it
     has the same determinant signs and the same _direction.  In the plane
     the rows are kept over one shared first coordinate D, the lcm of the
-    committed points' denominators: the row of p is (D, D*x, D*y).  A
-    point whose denominator L divides D is checked at D, where each slope
-    key is two subtractions (_slopes_distinct's ``shared``).  A point
-    whose L does not is checked against the stored rows by the
-    multiplying key, and committing it rescales every row to
-    lcm(D, L) once.  On arbitrary rationals D would grow without bound,
-    so that rescale runs only while lcm(D, L) has at most twice L's bits;
-    past that guard the set keeps each new point's _hom_row and the
-    multiplying key for good, and no stored first coordinate is ever wider
-    than twice the widest point denominator.
+    committed points' denominators: the row of p is (D, D*x, D*y).  Beside
+    them the column holds X = Dx*x for each committed point, Dx being the
+    lcm of their x-denominators, which divides D.  A point whose
+    denominator L divides D, and whose x-denominator divides Dx, is
+    checked at D: each slope key divides D*(y' - y) by X' - X, two
+    subtractions and a divisor as wide as Dx (_slopes_distinct's
+    ``column``).  Any other point is checked against the stored rows by
+    the multiplying key, and committing it rescales every row to
+    lcm(D, L), or the column to the lcm of Dx and its x-denominator,
+    once.  On arbitrary rationals D would grow without bound, so the row
+    rescale runs only while lcm(D, L) has at most twice L's bits; past
+    that guard the set drops the column and keeps each new point's
+    _hom_row and the multiplying key for good, and no stored first
+    coordinate is ever wider than twice the widest point denominator.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.points: list[Point] = []
         self._hom: list[tuple[int, ...]] = []
-        # D, read in the plane only; 0 once the width guard has tripped.
+        # D, Dx and the x-column, read in the plane only; D and Dx are 0
+        # and the column empty once the width guard has tripped.
         self._den = 1
+        self._dx = 1
+        self._xs: list[int] = []
 
     def try_add(self, p: Point) -> tuple[int, ...] | None:
         """Check the subsets of <= dim+1 points whose last point is p.
@@ -700,10 +746,11 @@ class IncrementalGeneralPosition:
         plane, _slopes_distinct on the new row against the earlier rows
         first accepts the point when their slopes out of it are pairwise
         distinct and none is vertical: one integer key per earlier point,
-        no gcd, and while p's denominator divides the shared D, no product
-        in any key either.  Otherwise, and in every other dimension, the i-th
-        point takes one integer direction out of it per earlier point a.
-        None is the duplicate pair (a, i).  From dimension 2 up, {a, b, i}
+        no gcd, and while p's denominators divide the shared D and Dx, no
+        product in any key either, and a divisor no wider than Dx.
+        Otherwise, and in every other dimension, the i-th point takes one
+        integer direction out of it per earlier point a.  None is the
+        duplicate pair (a, i).  From dimension 2 up, {a, b, i}
         is collinear iff dir(a) == dir(b); the committed points are in
         general position, so the colliding pairs are disjoint and the
         least one gives the lexicographically least triple.  A larger
@@ -712,7 +759,8 @@ class IncrementalGeneralPosition:
         the least subset of each size 4..dim+1, with C(i, 2) ..
         C(i, dim-1) more rank-2 tests: O(i^(dim-1)) per point.  The
         witness always comes from the direction hash.  A rejected point
-        leaves every row and D as they were; only a commit rescales.
+        leaves every row, the column, D and Dx as they were; only a
+        commit rescales.
         """
         if len(p) != self.dim:
             raise DimensionMismatchError(
@@ -722,10 +770,14 @@ class IncrementalGeneralPosition:
         plane, l = self.dim == 2, hom[0]
         den = self._den if plane else 0
         shared = den and not den % l
+        column = None
         if shared:
             k = den // l
             hom = (den, k * hom[1], k * hom[2])
-        if not (plane and _slopes_distinct(hom, self._hom, shared)):
+            x, dx = p[0], self._dx
+            if not dx % x.denominator:
+                column = (dx // x.denominator * x.numerator, self._xs)
+        if not (plane and _slopes_distinct(hom, self._hom, column)):
             dirs = list(map(_direction, [hom] * i, self._hom))
             if None in dirs:
                 return (dirs.index(None), i)
@@ -736,17 +788,29 @@ class IncrementalGeneralPosition:
                 wit = _least_dependent(dirs, size)
             if wit is not None:
                 return wit + (i,)
-        if den and not shared:
-            lcm = den // math.gcd(den, l) * l
-            if lcm.bit_length() <= 2 * l.bit_length():
-                k, m = lcm // den, lcm // l
-                rows = self._hom
-                for j, (_, b, c) in enumerate(rows):
-                    rows[j] = (lcm, k * b, k * c)
-                hom = (lcm, m * hom[1], m * hom[2])
-            else:
-                lcm = 0
-            self._den = lcm
+        if den:
+            xs, dx, x = self._xs, self._dx, p[0]
+            if not shared:
+                lcm = den // math.gcd(den, l) * l
+                if lcm.bit_length() <= 2 * l.bit_length():
+                    k, m = lcm // den, lcm // l
+                    rows = self._hom
+                    for j, (_, b, c) in enumerate(rows):
+                        rows[j] = (lcm, k * b, k * c)
+                    hom = (lcm, m * hom[1], m * hom[2])
+                else:
+                    lcm = dx = 0
+                    xs.clear()
+                self._den = lcm
+            if dx % x.denominator:
+                lcm = math.lcm(dx, x.denominator)
+                k = lcm // dx
+                for j, c in enumerate(xs):
+                    xs[j] = k * c
+                dx = lcm
+            if dx:
+                xs.append(dx // x.denominator * x.numerator)
+            self._dx = dx
         self.points.append(p)
         self._hom.append(hom)
         return None

@@ -153,8 +153,9 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
     sign(D + nxt) = (-1)^k * eps * det(D mod hom(nxt)) with eps from
     exactgeom._quotient (moving hom(nxt) to the front takes k swaps).  On
     rejection, exactgeom._least_bad finds the witness on those rows, in
-    every dimension.  Abstract sequences read every new subset from
-    sign_at.
+    every dimension: from O(b) determinants for a block of b points in R^1
+    and R^2, and O(b^max(2, k-2)) in R^k for k >= 3.  Abstract sequences
+    read every new subset from sign_at.
     """
     seq = s._points
     if seq is None:
@@ -200,7 +201,9 @@ def greedy_partition(s: KSequence) -> GreedyPartition:
     O(b^(k-2)) in R^k for k >= 3, so O(n^2) over a convex path in R^3
     (see _extend); other sequences check all C(b, k) new subsets for a
     block of b elements.  A block's witness is the subset on which
-    _extend rejected its successor, so no second scan builds it.
+    _extend rejected its successor, so no second scan builds it; its
+    search reads O(b) determinants in R^1 and R^2, so a planar partition
+    takes O(n) in all, and O(b^max(2, k-2)) in R^k for k >= 3.
     """
     n = len(s)
     if n < 1:

@@ -391,10 +391,24 @@ def is_positive_multiple(row, p):
     return rem == 0 and k > 0 and row == tuple(k * x for x in hom)
 
 
+def state(gp):
+    return (list(gp.points), list(gp._hom), gp._den, gp._dx, list(gp._xs))
+
+
+def column_holds(gp):
+    """While D is kept, the column is X_j = Dx * x_j over every committed
+    point, with Dx | D; once the width guard trips, both are gone."""
+    if not gp._den:
+        return gp._dx == 0 and gp._xs == []
+    return (gp._den % gp._dx == 0
+            and gp._xs == [gp._dx * p[0] for p in gp.points]
+            and all(type(x) is int for x in gp._xs))
+
+
 class TestSharedDenominator:
-    """The planar stream keeps its rows over one shared first coordinate
-    while the width guard allows; the dictionary-of-directions try_add is
-    the oracle."""
+    """The planar stream keeps its rows over one shared first coordinate,
+    and an x-column over the x-coordinates' own one, while the width
+    guard allows; the dictionary-of-directions try_add is the oracle."""
 
     @given(mixed_denominator_streams())
     @settings(max_examples=400, deadline=None)
@@ -402,12 +416,14 @@ class TestSharedDenominator:
         new = IncrementalGeneralPosition(2)
         old = DirsIncrementalGeneralPosition(2)
         for p in map(as_point, pts):
-            before = list(new.points), list(new._hom), new._den
+            before = state(new)
             got = new.try_add(p)
             assert got == old.try_add(p)
             assert new.points == old.points
             if got is not None:
-                assert (new.points, new._hom, new._den) == before
+                # D, Dx, the rows and the column are all untouched
+                assert state(new) == before
+            assert column_holds(new)
             assert all(map(is_positive_multiple, new._hom, new.points))
             if new._den:
                 assert {row[0] for row in new._hom} == {new._den}
@@ -419,10 +435,29 @@ class TestSharedDenominator:
         for p in [(0, 0), ("1/2", "1/2")]:
             assert gp.try_add(as_point(p)) is None
         assert gp._hom == [(2, 0, 0), (2, 1, 1)] and gp._den == 2
+        assert gp._xs == [0, 1] and gp._dx == 2
         assert gp.try_add(as_point(("1/3", "1/3"))) == (0, 1, 2)
         assert gp._hom == [(2, 0, 0), (2, 1, 1)] and gp._den == 2
+        assert gp._xs == [0, 1] and gp._dx == 2
         assert gp.try_add(as_point(("1/3", "1/5"))) is None
         assert gp._hom == [(30, 0, 0), (30, 15, 15), (30, 10, 6)]
+        assert gp._xs == [0, 3, 2] and gp._dx == 6
+
+    def test_x_denominator_outside_the_column(self):
+        # The rows share D = 4 and the x-coordinates are integers, Dx = 1.
+        # P = (1/2, 1/4) has L = 4 | D but x-denominator 2, not dividing
+        # Dx, so it takes the multiplying key; read off the column at
+        # X0 = 0 its slope keys out of P would be distinct, though P is on
+        # the line through the first two points.
+        gp = IncrementalGeneralPosition(2)
+        for p in [(1, "1/2"), (3, "3/2"), (2, "1/4")]:
+            assert gp.try_add(as_point(p)) is None
+        assert gp._den == 4 and gp._dx == 1 and gp._xs == [1, 3, 2]
+        before = state(gp)
+        assert gp.try_add(as_point(("1/2", "1/4"))) == (0, 1, 3)
+        assert state(gp) == before
+        assert gp.try_add(as_point(("1/2", "3/4"))) is None
+        assert gp._den == 4 and gp._dx == 2 and gp._xs == [2, 6, 4, 1]
 
     def test_width_guard_on_coprime_denominators(self):
         # The first 400 primes as point denominators: D would grow to
@@ -438,28 +473,32 @@ class TestSharedDenominator:
                for q in primes]
         for p in pts:
             assert gp.try_add(p) is None
-        assert gp._den == 0
+        assert gp._den == 0 and column_holds(gp)
         widest = max(_hom_row(p)[0] for p in pts).bit_length()
         assert max(row[0].bit_length() for row in gp._hom) <= 2 * widest
         assert all(map(is_positive_multiple, gp._hom, gp.points))
 
-    @pytest.mark.parametrize("curve,bits", [
-        (builtin("quintic"), 99),
-        (builtin("moment", dim=2), 40),
-        (builtin("dented_arc", dents=3, depth=Fraction(1, 100)), 82),
+    @pytest.mark.parametrize("curve,bits,x_bits", [
+        (builtin("quintic"), 99, 20),
+        (builtin("moment", dim=2), 40, 20),
+        (builtin("dented_arc", dents=3, depth=Fraction(1, 100)), 82, 19),
     ])
-    def test_sampled_points_keep_one_denominator(self, curve, bits,
+    def test_sampled_points_keep_one_denominator(self, curve, bits, x_bits,
                                                  monkeypatch):
         # Points on the sampler's parameter grid: the rows share one first
         # coordinate to the end, and every slope key but those of the
-        # points that rescale it runs on the shared branch.
+        # points that rescale it runs on the shared branch, where its
+        # divisor is a difference of the column over Dx, a fraction of
+        # D's width.
         pts = epsilon_sample(curve, Fraction(1, 100)).path.seq.points
         calls = count_calls(monkeypatch, exactgeom, "_slopes_distinct")
         gp = IncrementalGeneralPosition(2)
         for p in pts:
             assert gp.try_add(p) is None
         assert gp._den.bit_length() == bits
+        assert gp._dx.bit_length() == x_bits
         assert {row[0] for row in gp._hom} == {gp._den}
+        assert column_holds(gp)
         shared = [args[2] for args in calls]
         assert len(shared) == len(pts)
         assert sum(map(bool, shared)) >= len(pts) - 3
@@ -564,10 +603,12 @@ class TestCounters:
         gp = IncrementalGeneralPosition(dim)
         for i in range(1, n + 1):
             assert gp.try_add(curve.at(Fraction(i, n))) is None
-        # the points and their homogeneous rows, plus the dimension and
-        # the shared first coordinate of the rows
+        # the points and their homogeneous rows, plus the dimension, the
+        # shared first coordinate of the rows and Dx, and in the plane the
+        # x-column
+        column = n if dim == 2 else 0
         assert (leaves(list(vars(gp).values()))
-                == n * dim + n * (dim + 1) + 2)
+                == n * dim + n * (dim + 1) + 3 + column)
 
 
 def random_points(n, d):

@@ -12,10 +12,13 @@ with the candidate's row.  Both are kept below verbatim as oracles, with
 witnesses and raised errors (type, message and witness) must agree
 exactly, in R^1 to R^4, with sigma open, +1 or -1, and on degenerate
 input, where zero signs occur.  The kernel itself is checked against
-every subset.
+every subset, and its linear rank-2 scan against the quadratic loop it
+replaced, kept below verbatim.
 """
 
 import itertools
+import math
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -23,6 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convexsplit import kseq
+from convexsplit.curves import builtin, epsilon_sample
 from convexsplit.exactgeom import (_alternating, _cofactors, _dots,
                                    _extends, _least_bad, _quotient,
                                    point_seq)
@@ -118,6 +122,114 @@ def brute_least_bad(rows, tau):
                  if bareiss_sign([rows[i] for i in idx]) != tau), None)
 
 
+def quadratic_least_bad(rows, tau):
+    """Reference: exactgeom._least_bad with the quadratic rank-2 loop, in
+    which every anchor reads its 2x2 determinant against each later row
+    until one has the wrong sign."""
+    r = len(rows[0])
+    if r == 2:
+        # Dividing a row by a positive integer keeps every sign, and makes
+        # the integers in the O(m^2) products below smaller.
+        gs = [math.gcd(*v) or 1 for v in rows]
+        rows = [(x // g, y // g) for (x, y), g in zip(rows, gs)]
+    for a in range(len(rows) - r + 1):
+        v = rows[a]
+        if not any(v):
+            return tuple(range(a, a + r))
+        if r == 1:
+            if tau * v[0] < 0:
+                return (a,)
+        elif r == 2:
+            x, y = v
+            for j, (p, q) in enumerate(rows[a + 1:], a + 1):
+                if tau * (x * q - y * p) <= 0:
+                    return (a, j)
+        else:
+            sub, eps = _quotient(rows[a + 1:], v)
+            if not _alternating(sub, tau * eps):
+                return (a, *map((a + 1).__add__,
+                                quadratic_least_bad(sub, tau * eps)))
+    return None
+
+
+# Sixteen primitive directions in counterclockwise order, one per
+# eighth of pi: DIRECTIONS[i] and DIRECTIONS[i + 8] are antiparallel.
+DIRECTIONS = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1),
+              (-2, 1), (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1),
+              (1, -2), (1, -1), (2, -1)]
+
+
+@st.composite
+def planar_rows(draw):
+    """Rank-2 rows whose directions span an arc of 0 to 2 pi, exactly pi
+    at a span of 8, as positive multiples (so parallel rows are common),
+    in counterclockwise, clockwise or drawn order; maybe with rows made
+    antiparallel to others, and maybe with zero rows."""
+    start, span = draw(st.integers(0, 15)), draw(st.integers(0, 16))
+    picks = draw(st.lists(st.integers(0, span), min_size=2, max_size=12))
+    order = draw(st.sampled_from(("ccw", "cw", "drawn")))
+    if order != "drawn":
+        picks.sort(reverse=order == "cw")
+    rows = []
+    for i in picks:
+        x, y = DIRECTIONS[(start + i) % 16]
+        k = draw(st.integers(1, 3))
+        rows.append((k * x, k * y))
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = (draw(st.integers(0, len(rows) - 1)) for _ in range(2))
+        rows[i] = tuple(-draw(st.integers(1, 2)) * c for c in rows[j])
+    for _ in range(draw(st.integers(0, 2))):
+        rows[draw(st.integers(0, len(rows) - 1))] = (0, 0)
+    return rows
+
+
+def quintic_rejections(monkeypatch, eps):
+    """The (rows, tau) of every greedy rejection on the seed-0 quintic
+    sample at eps, from kseq's own calls of the kernel."""
+    seq = epsilon_sample(builtin("quintic"), eps).path.seq
+    calls = []
+    kernel = kseq._least_bad
+
+    def recording(rows, tau):
+        calls.append((rows, tau))
+        return kernel(rows, tau)
+
+    monkeypatch.setattr(kseq, "_least_bad", recording)
+    assert greedy_partition(from_points(seq)).m == 4
+    return calls
+
+
+class CountingRows(Sequence):
+    """Rows whose every read, one row or a slice, is counted."""
+
+    def __init__(self, rows):
+        self.rows, self.reads = rows, 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        got = self.rows[i]
+        self.reads += len(got) if isinstance(i, slice) else 1
+        return got
+
+
+class CountingSign(int):
+    """A sign tau whose products are counted: both rank-2 loops multiply
+    every 2x2 determinant they read by tau once."""
+
+    def __new__(cls, tau):
+        self = super().__new__(cls, tau)
+        self.products = 0
+        return self
+
+    def __mul__(self, other):
+        self.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
 def paper_curve(d, n, cells):
     """n points of (t, .., t^(d-1), t^(d+1)), one per cell of width
     2/cells from -1, at t = -1 + (i + 1/(d+2)) * 2/cells.  A curve of
@@ -150,6 +262,63 @@ class TestKernel:
         assert _least_bad([(2,), (0,), (3,)], 1) == (1,)
         assert _least_bad([(2,), (-1,), (3,)], 1) == (1,)
         assert _least_bad([(2,), (1,), (3,)], 1) is None
+
+
+class TestRankTwo:
+    """The linear suffix-cone scan against the quadratic loop."""
+
+    @given(planar_rows(), st.sampled_from((1, -1)))
+    @settings(max_examples=1500, deadline=None)
+    def test_matches_quadratic_loop(self, rows, tau):
+        assert _least_bad(rows, tau) == quadratic_least_bad(rows, tau)
+
+    @given(planar_rows(), st.sampled_from((1, -1)))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_every_subset(self, rows, tau):
+        assert _least_bad(rows, tau) == brute_least_bad(rows, tau)
+
+    @pytest.mark.parametrize("rows,tau,witness", [
+        ([(1, 0), (0, 1), (-1, 0)], 1, (0, 2)),       # span exactly pi
+        ([(1, 0), (1, 1), (-1, 1), (-1, -1)], 1, (0, 3)),   # beyond pi
+        ([(1, 0), (1, 1), (-1, 1), (-1, -1)], -1, (0, 1)),
+        ([(1, 1), (2, 2)], 1, (0, 1)),                 # parallel
+        ([(0, 1), (1, 0), (-1, 0)], 1, (0, 1)),        # antiparallel
+        ([(1, 0), (0, 1), (-1, 1), (0, 0)], 1, (0, 3)),     # zero last
+        ([(0, 0), (1, 0), (0, 1)], 1, (0, 1)),         # zero first
+        ([(1, 0), (0, 1), (-1, 1)], 1, None),
+        ([(-1, 1), (0, 1), (1, 0)], -1, None),
+        ([(3, 0)], 1, None),
+    ])
+    def test_crafted(self, rows, tau, witness):
+        assert _least_bad(rows, tau) == witness
+        assert quadratic_least_bad(rows, tau) == witness
+
+    @pytest.mark.parametrize("den", [25, 50, 100])
+    def test_quintic_rejections(self, den, monkeypatch):
+        calls = quintic_rejections(monkeypatch, Fraction(1, den))
+        assert len(calls) == 3
+        for rows, tau in calls:
+            wit = _least_bad(rows, tau)
+            assert wit is not None
+            assert wit == quadratic_least_bad(rows, tau)
+
+    def test_linear_work_on_a_late_witness(self, monkeypatch):
+        # The quintic's 156-row block at eps 1/100 is rejected on a
+        # witness whose anchor is among the last three: the quadratic
+        # loop reads about m^2 / 2 determinants, the cone scan O(m).
+        calls = quintic_rejections(monkeypatch, Fraction(1, 100))
+        rows, tau = max(calls, key=lambda call: len(call[0]))
+        m = len(rows)
+        assert m == 156
+        counted, sign = CountingRows(rows), CountingSign(tau)
+        wit = _least_bad(counted, sign)
+        assert wit == quadratic_least_bad(rows, tau)
+        assert wit[0] >= m - 3
+        assert counted.reads <= 2 * m
+        assert sign.products <= 3 * m
+        old = CountingSign(tau)
+        assert quadratic_least_bad(rows, old) == wit
+        assert old.products >= m * (m - 2) // 2
 
 
 class TestDifferential:
