@@ -193,10 +193,10 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0) -> EpsSample:
     rank-2 tests and O(n) memory.  In the plane that is one integer slope
     key per pair, two subtractions, a shift and a divide by a difference
     of x-coordinates over their own shared denominator, while the point's
-    denominators divide the shared ones (a point whose do not rescales
-    the rows or the x-column once when it is kept), and exact directions
-    are hashed only for a point whose keys collide, or that is vertically
-    above an earlier one.  The returned path reuses that certificate
+    denominators divide the shared ones (a point whose denominators do
+    not rescales the rows or the x-column once when it is kept), and
+    exact directions are hashed only for a point whose keys collide, or
+    that is vertically above an earlier one.  The returned path reuses that certificate
     instead of checking its vertices again.
     """
     eps = as_rational(eps)

@@ -366,9 +366,9 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
     Rank 2 takes O(m) determinants.  Anchor a is clean iff v_a != 0 and
     every later row lies strictly tau-left of it, i.e. in the open
     half-plane {u : tau * det(v_a, u) > 0}.  A scan from the end keeps
-    the cone of the rows after a: its extreme rays e and f, f at most pi
-    tau-left of e, or "in no open half-plane", which a zero row or an
-    antiparallel pair also makes.  Every later row is a nonnegative,
+    the cone of the rows after a: its extreme rays e and f, f less than pi
+    tau-left of e (or parallel to it), or "in no open half-plane", which
+    a zero row or an antiparallel pair also makes.  Every later row is a nonnegative,
     nonzero combination of e and f, and the half-plane is a convex cone,
     so a is clean iff e and f both lie in it: then v_a is the cone's new
     e.  Once the later rows lie in no open half-plane, no anchor up to a

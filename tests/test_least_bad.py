@@ -227,8 +227,6 @@ class CountingSign(int):
         self.products += 1
         return int(self) * other
 
-    __rmul__ = __mul__
-
 
 def paper_curve(d, n, cells):
     """n points of (t, .., t^(d-1), t^(d+1)), one per cell of width
@@ -271,11 +269,6 @@ class TestRankTwo:
     @settings(max_examples=1500, deadline=None)
     def test_matches_quadratic_loop(self, rows, tau):
         assert _least_bad(rows, tau) == quadratic_least_bad(rows, tau)
-
-    @given(planar_rows(), st.sampled_from((1, -1)))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_every_subset(self, rows, tau):
-        assert _least_bad(rows, tau) == brute_least_bad(rows, tau)
 
     @pytest.mark.parametrize("rows,tau,witness", [
         ([(1, 0), (0, 1), (-1, 0)], 1, (0, 2)),       # span exactly pi
