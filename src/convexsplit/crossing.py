@@ -17,7 +17,9 @@ plane is the vertices' rows modulo F, by the quotient recursion, with
 one quotient per prefix of F shared by every F that starts with it.
 That is O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations, against
 O(2^d * n^(d+1)) for visiting every d-subset with its 2^d
-perturbations.
+perturbations.  Convex input takes no pencil: a path whose
+general-position check found its vertices sigma-homogeneous is d-crossing,
+and its witness is read off sigma alone (see max_crossings).
 """
 
 from __future__ import annotations
@@ -191,6 +193,22 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     subsets takes C(n, d) cofactor vectors and 2^d side patterns of
     length n for each: O(2^d * n^(d+1)).
 
+    Convex input sweeps nothing.  When the general-position check found
+    the vertices sigma-homogeneous (path._sign = sigma) and n > d, the
+    answer is d, and the witness is the first key of D = (0, ..., d-1)
+    that counts d, read off the sides [0] * d + [sigma] * (n - d).
+    Proof.  Every (d+1)-tuple has orientation sigma, so every entry of
+    every D's sign sequence is sigma (see ordertype.sign_sequence): no
+    sign changes, and each D's best count is d (see ordertype.is_flip).
+    So the maximum is d, and the lexicographically first D, (0, ..., d-1),
+    reaches it.  Its sides are those the sweep reads for it: sign
+    det[D; y] for a vertex y, 0 on D and sigma after it, as (0, ..., d-1,
+    y) is increasing.  D holds an edge, so h(D) is no key, and the first
+    key counting d is the perturbation with sides alternating and ending
+    in -sigma.  The cost is at most 2^d side patterns of length n, after
+    the O(n^(d-1)) determinants of the general-position check.  Paths in
+    R^1 and PolyPath._certified paths have _sign 0 and always sweep.
+
     A path from PolyPath is in general position.  On a dependent
     (d+1)-subset, which only a PolyPath._certified path can hold, the
     sweep stops and the lexicographic scan over d-subsets raises its
@@ -204,6 +222,11 @@ def max_crossings(path: PolyPath) -> CrossingReport:
         sides = tuple((-1) ** i for i in range(n))
         return CrossingReport(
             n - 1, CrossingWitness("perturbed", tuple(range(n)), sides))
+    if path._sign:
+        sides = [0] * d + [path._sign] * (n - d)
+        return CrossingReport(d, next(wit for count, wit
+                                      in _keys(sides, tuple(range(d)))
+                                      if count == d))
     hom = seq._hom
     best = -1
     best_wit: CrossingWitness | None = None
@@ -241,9 +264,12 @@ def is_convex(path: PolyPath) -> bool:
     """Convex = d-crossing = order-type homogeneous vertex sequence.
 
     Paths with n <= dim vertices are convex by convention (no hyperplane
-    can witness dim+1 crossings among fewer parameter events).
+    can witness dim+1 crossings among fewer parameter events).  A nonzero
+    path._sign is the general-position check's proof of homogeneity, so
+    it answers at once.  A zero one decides nothing (PolyPath._certified
+    paths and R^1 paths always hold 0), and the homogeneity test runs.
     """
-    if len(path.seq) <= path.dim:
+    if len(path.seq) <= path.dim or path._sign:
         return True
     return bool(is_order_type_homogeneous(path.seq))
 

@@ -393,6 +393,17 @@ def moment_seq(n, d):
                       for t in range(1, n + 1)])
 
 
+def two_arc_seq(n, d):
+    """n points of (t, ..., t^(d-1), t^(d+1)) at t = 1 + (d+2)k, k from
+    -(n // 2) up.  A (d+1)-tuple has the sign of its t-sum, up to one
+    sign for the whole path, and such sums are never 0, so the points are
+    in general position and flip, but not homogeneous: the tuples of
+    negative t and those of the largest t differ in sign."""
+    powers = list(range(1, d)) + [d + 1]
+    return point_seq([[(1 + (d + 2) * k) ** e for e in powers]
+                      for k in range(-(n // 2), n - n // 2)], dim=d)
+
+
 def count_calls(monkeypatch, owner, name):
     calls = []
     fn = getattr(owner, name)
@@ -412,16 +423,22 @@ class TestCounters:
         # The subset scan made one cofactor vector per d-subset, and the
         # first pencil sweep two per pencil.  On the quotient kernel the
         # pencils make none: one quotient per node of the prefix tree of
-        # the (d-1)-subsets, n - 1 in the plane.
-        seq = moment_seq(n, d)
+        # the (d-1)-subsets, n - 1 in the plane.  Homogeneous input takes
+        # no pencil (TestConvexPath in test_alternation_certificate.py),
+        # so the sweep runs on a flip path that is not homogeneous, after
+        # the one alternation test that rejects it.
+        seq = two_arc_seq(n, d)
         cofactors = [count_calls(monkeypatch, owner, "_cofactors")
                      for owner in (exactgeom, ordertype)]
         quotients = count_calls(monkeypatch, exactgeom, "_quotient")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
+        assert not exactgeom._alternating(seq._hom)
+        certificate = len(quotients)
+        quotients.clear()
         assert is_flip(seq)
         assert cofactors == [[], []]
-        assert len(quotients) == sum(math.comb(n - d + j, j)
-                                     for j in range(1, d))
+        assert len(quotients) == certificate + sum(
+            math.comb(n - d + j, j) for j in range(1, d))
         assert orients == []
         assert seq._sign_cache == {}
 

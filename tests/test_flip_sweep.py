@@ -128,6 +128,15 @@ class TestCost:
         assert report["result"]["flip"] is True
         assert elapsed < 1.0
 
+    def test_forty_r4_moment_points_under_04s(self, tmp_path):
+        # Homogeneous input is flip by one alternation test, with no
+        # pencil sweep.
+        code, report, elapsed = run_flip(tmp_path,
+                                         random_moment_seq(40, 4).points)
+        assert code == 0
+        assert report["result"]["flip"] is True
+        assert elapsed < 0.4
+
     def test_degenerate_last_point_resumes_the_scan(self, tmp_path):
         # The last point moved onto the line through the two before it:
         # the sweeps of the first 237 pencils finish, and the subset scan

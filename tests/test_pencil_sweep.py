@@ -152,8 +152,10 @@ class TestCost:
     def test_two_cofactor_vectors_per_pencil(self, d, n, monkeypatch):
         # The name is the mechanism's before the pencils moved onto the
         # quotient kernel: now no cofactor vector, and one quotient per
-        # node of the prefix tree of the (d-1)-subsets F.
-        path = PolyPath(random_moment_seq(n, d))
+        # node of the prefix tree of the (d-1)-subsets F.  A checked
+        # moment path is answered from its alternation certificate, so
+        # the sweep runs on an unchecked one, whose _sign is 0.
+        path = PolyPath._certified(random_moment_seq(n, d))
         cofactors = [count_calls(monkeypatch, owner, "_cofactors")
                      for owner in (exactgeom, ordertype, crossing)]
         quotients = count_calls(monkeypatch, exactgeom, "_quotient")
@@ -176,6 +178,14 @@ class TestCost:
                                         random_moment_seq(60, 3).points)
         assert code == 0
         assert elapsed < 2.0
+
+    def test_forty_r4_moment_points_under_04s(self, tmp_path):
+        # Convex input is answered from the general-position check's
+        # alternation certificate, with no pencil sweep.
+        code, elapsed = self._crossings(tmp_path,
+                                        random_moment_seq(40, 4).points)
+        assert code == 0
+        assert elapsed < 0.4
 
     def test_240_random_planar_points_under_2s(self, tmp_path):
         rng = random.Random(7)
