@@ -23,6 +23,7 @@ from convexsplit.kseq import (c_bound, from_points, from_table,
 from convexsplit.ordertype import is_flip, is_order_type_homogeneous
 from convexsplit.ramsey import (extraction_floor, is_super_ot_homogeneous,
                                 super_extract)
+from test_alternation_certificate import sweep_is_flip
 
 F = Fraction
 
@@ -61,7 +62,10 @@ def random_gp_sequence(rng, d, n_max):
 @pytest.fixture(scope="module")
 def equivalence_suite():
     """1000 planar and 300 spatial general-position sequences with their
-    homogeneity and exact crossing-number verdicts."""
+    homogeneity and exact crossing-number verdicts.  The crossing number
+    comes from the pencil sweep on an unchecked path: a checked one would
+    answer convex input from the same alternation test that decides
+    homogeneity, and the equivalence would hold by construction."""
     rng = random.Random(2017)
     started = time.perf_counter()
     rows = []
@@ -69,7 +73,7 @@ def equivalence_suite():
         for _ in range(count):
             seq = random_gp_sequence(rng, d, n_max)
             hom = bool(is_order_type_homogeneous(seq))
-            mc = max_crossings(PolyPath(seq)).max_crossings
+            mc = max_crossings(PolyPath._certified(seq)).max_crossings
             rows.append((seq, hom, mc))
     return rows, time.perf_counter() - started
 
@@ -97,14 +101,15 @@ def _random_crossing_paths(rng, d, count):
         if not is_general_position(seq):
             continue
         path = PolyPath(seq)
-        if max_crossings(path).max_crossings <= d + 1:
+        if max_crossings(PolyPath._certified(seq)).max_crossings <= d + 1:
             out.append(path)
     return out
 
 
 @pytest.fixture(scope="module")
 def crossing_path_suite():
-    """200 paths certified (d+1)-crossing by the exact oracle."""
+    """200 paths certified (d+1)-crossing by the exact oracle, the pencil
+    sweep, which convex input skips on a checked path."""
     rng = random.Random(3001)
     started = time.perf_counter()
     paths = list(_curve_paths(rng))
@@ -113,7 +118,8 @@ def crossing_path_suite():
     assert len(paths) == 200
     for path in paths:
         d = path.seq.dim
-        assert max_crossings(path).max_crossings <= d + 1
+        assert max_crossings(
+            PolyPath._certified(path.seq)).max_crossings <= d + 1
     return paths, time.perf_counter() - started
 
 
@@ -171,8 +177,13 @@ def test_criterion_06_certified_paths_have_flip_sign_sequences(
         crossing_path_suite):
     paths, elapsed = crossing_path_suite
     started = time.perf_counter()
-    violations = [path.seq.points for path in paths
-                  if not is_flip(path.seq)]
+    # The sweep decides; is_flip, which answers homogeneous input from
+    # the alternation test, must agree with it.
+    violations = []
+    for path in paths:
+        report = sweep_is_flip(path.seq)
+        if not report or is_flip(path.seq) != report:
+            violations.append(path.seq.points)
     assert violations == []
     elapsed += time.perf_counter() - started
     assert elapsed < 600.0, f"took {elapsed:.2f}s, budget 600s"

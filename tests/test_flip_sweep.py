@@ -26,7 +26,7 @@ from convexsplit.exactgeom import is_general_position, point_seq
 from convexsplit.ordertype import (FlipReport, _pencils, count_sign_changes,
                                    is_flip, is_order_type_homogeneous,
                                    sign_sequence)
-from test_cofactor_kernel import curve_paths, outcome, point_sets
+from test_cofactor_kernel import curve_paths, outcome, point_sets, two_arc_seq
 from test_pencil_sweep import random_moment_seq, wide_paths
 
 
@@ -123,6 +123,15 @@ def run_flip(tmp_path, points):
 class TestCost:
     def test_240_planar_moment_points_under_1s(self, tmp_path):
         seq = random_moment_seq(240, 2)
+        code, report, elapsed = run_flip(tmp_path, seq.points)
+        assert code == 0
+        assert report["result"]["flip"] is True
+        assert elapsed < 1.0
+
+    def test_240_planar_two_arc_points_under_1s(self, tmp_path):
+        # Moment points are flip by the alternation test; two arcs are
+        # flip but not homogeneous, so this times the pencil sweep.
+        seq = two_arc_seq(240, 2)
         code, report, elapsed = run_flip(tmp_path, seq.points)
         assert code == 0
         assert report["result"]["flip"] is True

@@ -29,7 +29,8 @@ from convexsplit.crossing import (CrossingReport, CrossingWitness, PolyPath,
 from convexsplit.exactgeom import (GeneralPositionError, _cofactors, _dots,
                                    is_general_position, point_seq)
 from convexsplit.kseq import from_points, greedy_partition
-from test_cofactor_kernel import count_calls, curve_paths, outcome, point_sets
+from test_cofactor_kernel import (count_calls, curve_paths, outcome,
+                                  point_sets, two_arc_seq)
 
 
 def subset_max_crossings(path):
@@ -176,6 +177,13 @@ class TestCost:
     def test_sixty_spatial_moment_points_under_2s(self, tmp_path):
         code, elapsed = self._crossings(tmp_path,
                                         random_moment_seq(60, 3).points)
+        assert code == 0
+        assert elapsed < 2.0
+
+    def test_sixty_spatial_two_arc_points_under_2s(self, tmp_path):
+        # Moment points are answered from the alternation certificate;
+        # two arcs are not homogeneous, so this times the pencil sweep.
+        code, elapsed = self._crossings(tmp_path, two_arc_seq(60, 3).points)
         assert code == 0
         assert elapsed < 2.0
 
