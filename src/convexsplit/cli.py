@@ -24,7 +24,7 @@ from .crossing import PolyPath, decompose, max_crossings, witness_crossings
 from .curves import CurveSpec, SamplingError, builtin, decompose_curve, \
     epsilon_sample
 from .exactgeom import (GeneralPositionError, PointSeq, as_rational,
-                        is_general_position, point_seq)
+                        is_general_position)
 from .kseq import (KNOWN_BOUNDS, from_json_dict, greedy_partition,
                    iter_c_bounds, reduce, to_json_dict, verify_flip)
 from .ordertype import is_flip, is_order_type_homogeneous
@@ -43,6 +43,10 @@ SCHEMA_VERSION = 1
 DEFAULT_ORACLE_BUDGET = 60
 
 _SVG_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
+
+# CPython refuses an integer digit limit below 640 digits, so no token of
+# at most 640 characters can pass the limit.
+_SHORT_TOKEN = 640
 
 
 class ParseFailure(Exception):
@@ -68,8 +72,17 @@ def _rats(xs) -> list:
 
 
 def _parse_rational(tok: str) -> Fraction:
+    """A short token "p" or "p/q" of ASCII digits, q nonzero, is built
+    from its ints; any other token takes as_rational, which checks it."""
+    text = str(tok).strip()
+    if len(text) <= _SHORT_TOKEN and text.isascii():
+        p, slash, q = text.partition("/")
+        if p.isdigit() and (q.isdigit() or not slash):
+            den = int(q) if slash else 1
+            if den:
+                return Fraction(int(p), den)
     try:
-        return as_rational(str(tok).strip())
+        return as_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseFailure(f"not a rational number: {tok!r} ({exc})") from exc
 
@@ -158,7 +171,7 @@ def parse_points_text(text: str, expected_dim: int | None) -> PointSeq:
         if claim is not None and claim != dim:
             raise ParseFailure(
                 f"{source} is {claim} but rows have {dim} coordinates")
-    return point_seq(parsed, dim=dim)
+    return PointSeq(dim, tuple(map(tuple, parsed)), tuple(range(len(parsed))))
 
 
 def load_curve(args) -> tuple[CurveSpec, Fraction]:

@@ -25,11 +25,10 @@ and its witness is read off sigma alone (see max_crossings).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 from . import kseq
-from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq,
+from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq, _Record,
                         _cofactors, _dots, is_general_position,
                         span_hyperplane)
 from .ordertype import _pencils, is_order_type_homogeneous
@@ -43,16 +42,22 @@ class EdgeContainedError(ValueError):
         self.edge = edge
 
 
-@dataclass(frozen=True)
-class PolyPath:
+class PolyPath(_Record):
     """Polygonal path on a general-position vertex sequence (n >= 2).
 
-    ``_sign`` is sigma when the general-position check found the vertices
-    sigma-homogeneous, else 0.
+    ``_sign`` is sigma when the vertices are known sigma-homogeneous, else
+    0.  It records how they were checked, so it is neither compared,
+    hashed nor shown.
     """
 
-    seq: PointSeq
-    _sign: int = field(default=0, init=False, repr=False, compare=False)
+    __slots__ = ("seq", "_sign")
+    _fields = ("seq",)
+
+    def __init__(self, seq: PointSeq):
+        self._fill(seq)
+        object.__setattr__(self, "_sign", 0)
+        # A method of its own, which bench/layers.py counts by this name.
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.seq) < 2:
@@ -64,22 +69,24 @@ class PolyPath:
         object.__setattr__(self, "_sign", report.sign)
 
     @classmethod
-    def _certified(cls, seq: PointSeq) -> "PolyPath":
+    def _certified(cls, seq: PointSeq, sign: int = 0) -> "PolyPath":
         """Path on vertices already certified in general position, built
-        without re-running is_general_position.
+        without re-running is_general_position; ``sign`` is its _sign.
 
-        Two callers hold such a certificate, and both pass at least 2
+        Three callers hold such a certificate, and all pass at least 2
         points.  epsilon_sample passes the points that
         IncrementalGeneralPosition accepted: every subset of <= dim+1 of
         them was checked when its last point joined, by the same quotient
         recursion that is_general_position runs on the whole set.  ramsey's extraction
         stages pass contiguous pieces of projections whose whole was just
         checked, and a subsequence of a general-position sequence is in
-        general position.
+        general position.  decompose_curve passes such a sample again
+        with the sign of the one greedy block that it closed, which
+        proves the vertices sign-homogeneous.
         """
         path = object.__new__(cls)
         object.__setattr__(path, "seq", seq)
-        object.__setattr__(path, "_sign", 0)
+        object.__setattr__(path, "_sign", sign)
         return path
 
     @property
@@ -87,8 +94,7 @@ class PolyPath:
         return self.seq.dim
 
 
-@dataclass(frozen=True)
-class CrossingWitness:
+class CrossingWitness(_Record):
     """Hyperplane description achieving a crossing count.
 
     kind "direct": the hyperplane spanned by vertices ``subset``.
@@ -96,15 +102,18 @@ class CrossingWitness:
     vertices of ``subset`` are pushed to the sides in ``sides``.
     """
 
-    kind: str
-    subset: tuple[int, ...]
-    sides: tuple[int, ...] | None = None
+    __slots__ = _fields = ("kind", "subset", "sides")
+
+    def __init__(self, kind: str, subset: tuple[int, ...],
+                 sides: tuple[int, ...] | None = None):
+        self._fill(kind, subset, sides)
 
 
-@dataclass(frozen=True)
-class CrossingReport:
-    max_crossings: int
-    witness: CrossingWitness
+class CrossingReport(_Record):
+    __slots__ = _fields = ("max_crossings", "witness")
+
+    def __init__(self, max_crossings: int, witness: CrossingWitness):
+        self._fill(max_crossings, witness)
 
 
 def _vertex_sides(path: PolyPath, h: Hyperplane) -> list[int]:
@@ -206,8 +215,9 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     y) is increasing.  D holds an edge, so h(D) is no key, and the first
     key counting d is the perturbation with sides alternating and ending
     in -sigma.  The cost is at most 2^d side patterns of length n, after
-    the O(n^(d-1)) determinants of the general-position check.  Paths in
-    R^1 and PolyPath._certified paths have _sign 0 and always sweep.
+    the O(n^(d-1)) determinants of the general-position check, or of
+    the one greedy block that decompose_curve closed.  Other paths in R^1
+    and PolyPath._certified paths have _sign 0 and always sweep.
 
     A path from PolyPath is in general position.  On a dependent
     (d+1)-subset, which only a PolyPath._certified path can hold, the
@@ -265,21 +275,23 @@ def is_convex(path: PolyPath) -> bool:
 
     Paths with n <= dim vertices are convex by convention (no hyperplane
     can witness dim+1 crossings among fewer parameter events).  A nonzero
-    path._sign is the general-position check's proof of homogeneity, so
-    it answers at once.  A zero one decides nothing (PolyPath._certified
-    paths and R^1 paths always hold 0), and the homogeneity test runs.
+    path._sign is a proof of homogeneity, so it answers at once.  A zero
+    one decides nothing (PolyPath._certified paths and R^1 paths mostly
+    hold 0), and the homogeneity test runs.
     """
     if len(path.seq) <= path.dim or path._sign:
         return True
     return bool(is_order_type_homogeneous(path.seq))
 
 
-@dataclass(frozen=True)
-class ConvexDecomposition:
+class ConvexDecomposition(_Record):
     """Contiguous pieces with one-point overlaps, each piece convex."""
 
-    pieces: tuple[tuple[int, int], ...]
-    partition: kseq.GreedyPartition
+    __slots__ = _fields = ("pieces", "partition")
+
+    def __init__(self, pieces: tuple[tuple[int, int], ...],
+                 partition: kseq.GreedyPartition):
+        self._fill(pieces, partition)
 
     @property
     def count(self) -> int:

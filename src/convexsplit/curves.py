@@ -17,12 +17,11 @@ that smaller denominator, one machine digit on the 400-point quintic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .crossing import ConvexDecomposition, PolyPath, decompose, max_crossings
-from .exactgeom import (IncrementalGeneralPosition, Point, as_point,
+from .exactgeom import (IncrementalGeneralPosition, Point, _Record, as_point,
                         as_rational)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -41,20 +40,22 @@ class SamplingError(RuntimeError):
         self.retries = retries
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Exact curve: rational evaluator over a rational closed domain."""
+class CurveSpec(_Record):
+    """Exact curve: rational evaluator over a rational closed domain.
 
-    name: str
-    dim: int
-    domain: tuple[Fraction, Fraction]
-    evaluator: Callable[[Fraction], Point]
-    params: dict = field(default_factory=dict)
+    ``params`` defaults to a fresh empty dict; being a dict, it leaves
+    CurveSpec unhashable."""
 
-    def __post_init__(self):
-        lo, hi = self.domain
+    __slots__ = _fields = ("name", "dim", "domain", "evaluator", "params")
+
+    def __init__(self, name: str, dim: int, domain: tuple[Fraction, Fraction],
+                 evaluator: Callable[[Fraction], Point],
+                 params: dict | None = None):
+        lo, hi = domain
         if not lo < hi:
             raise ValueError("curve domain must be a nondegenerate interval")
+        self._fill(name, dim, domain, evaluator,
+                   {} if params is None else params)
 
     def at(self, t) -> Point:
         t = as_rational(t)
@@ -170,12 +171,12 @@ class _SplitMix:
         return z ^ (z >> 31)
 
 
-@dataclass(frozen=True)
-class EpsSample:
-    eps: Fraction
-    params: tuple[Fraction, ...]
-    path: PolyPath
-    retries: int
+class EpsSample(_Record):
+    __slots__ = _fields = ("eps", "params", "path", "retries")
+
+    def __init__(self, eps: Fraction, params: tuple[Fraction, ...],
+                 path: PolyPath, retries: int):
+        self._fill(eps, params, path, retries)
 
 
 def epsilon_sample(curve: CurveSpec, eps, seed: int = 0) -> EpsSample:
@@ -224,8 +225,7 @@ def epsilon_sample(curve: CurveSpec, eps, seed: int = 0) -> EpsSample:
     return EpsSample(eps, tuple(params), path, retries)
 
 
-@dataclass(frozen=True)
-class CurveDecomposition:
+class CurveDecomposition(_Record):
     """Convex decomposition of a sampled curve with parameter cuts.
 
     ``cuts`` are the overlap parameters between consecutive pieces;
@@ -234,11 +234,15 @@ class CurveDecomposition:
     oracle was run on the sampled path.
     """
 
-    sample: EpsSample
-    decomposition: ConvexDecomposition
-    cuts: tuple[Fraction, ...]
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-    certified_max_crossings: int | None = None
+    __slots__ = _fields = ("sample", "decomposition", "cuts", "intervals",
+                           "certified_max_crossings")
+
+    def __init__(self, sample: EpsSample, decomposition: ConvexDecomposition,
+                 cuts: tuple[Fraction, ...],
+                 intervals: tuple[tuple[Fraction, Fraction], ...],
+                 certified_max_crossings: int | None = None):
+        self._fill(sample, decomposition, cuts, intervals,
+                   certified_max_crossings)
 
     @property
     def pieces(self) -> int:
@@ -252,7 +256,9 @@ def decompose_curve(curve: CurveSpec, eps, seed: int = 0, *,
     The first and last parameter intervals are extended to the domain
     endpoints so the intervals tile the domain.  When the sampled path has
     at most certify_budget vertices the exact oracle certifies its
-    crossing number.
+    crossing number.  A sample that greedy closes as one block of sign
+    sigma is sigma-homogeneous, so the oracle gets its path with _sign
+    sigma and answers without a pencil sweep; other samples sweep.
     """
     sample = epsilon_sample(curve, eps, seed)
     dec = decompose(sample.path)
@@ -262,5 +268,8 @@ def decompose_curve(curve: CurveSpec, eps, seed: int = 0, *,
     intervals = tuple(zip(bounds, bounds[1:]))
     certified = None
     if certify_budget is not None and len(sample.path.seq) <= certify_budget:
-        certified = max_crossings(sample.path).max_crossings
+        path = sample.path
+        if dec.count == 1 and dec.partition.signs[0]:
+            path = PolyPath._certified(path.seq, dec.partition.signs[0])
+        certified = max_crossings(path).max_crossings
     return CurveDecomposition(sample, dec, cuts, intervals, certified)

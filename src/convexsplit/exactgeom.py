@@ -44,13 +44,54 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Iterable, Sequence
 
 Point = tuple[Fraction, ...]
+
+
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass lists its constructor's fields in ``_fields``, in order,
+    and its __init__ stores them with _fill.  Equality (same class, equal
+    _key), hash and repr then read them as a frozen dataclass's would:
+    _key is the tuple of the fields, and a field that decides nothing
+    is left out of it by overriding _key.  Assigning or deleting any
+    attribute raises AttributeError.  Classes with no cached_property
+    declare __slots__.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DimensionMismatchError(ValueError):
@@ -470,41 +511,44 @@ def orientation(pts: Sequence) -> int:
     return _det_sign([_hom_row(p) for p in pts])
 
 
-@dataclass(frozen=True)
-class GeneralPositionReport:
+class GeneralPositionReport(_Record):
     """``sign`` is sigma when the points were found sigma-homogeneous, which
     proves general position, and else 0.  It records how the answer was
-    reached, so reports compare on ``ok`` and ``witness`` alone."""
+    reached, so reports compare and hash on ``ok`` and ``witness`` alone."""
 
-    ok: bool
-    witness: tuple[int, ...] | None = None
-    sign: int = field(default=0, compare=False)
+    __slots__ = _fields = ("ok", "witness", "sign")
+
+    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None,
+                 sign: int = 0):
+        self._fill(ok, witness, sign)
+
+    def _key(self) -> tuple:
+        return (self.ok, self.witness)
 
     def __bool__(self) -> bool:
         return self.ok
 
 
-@dataclass(frozen=True)
-class PointSeq:
+class PointSeq(_Record):
     """Ordered sequence of exact rational points in R^dim.
 
     ``labels`` keep the original indices alive through projections and
     subsequence extraction.
     """
 
-    dim: int
-    points: tuple[Point, ...]
-    labels: tuple[int, ...]
+    _fields = ("dim", "points", "labels")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, points: tuple[Point, ...],
+                 labels: tuple[int, ...]):
+        if dim < 1:
             raise DimensionMismatchError("dimension must be >= 1")
-        for p in self.points:
-            if len(p) != self.dim:
+        for p in points:
+            if len(p) != dim:
                 raise DimensionMismatchError(
-                    f"point of length {len(p)} in a dim-{self.dim} sequence")
-        if len(self.labels) != len(self.points):
+                    f"point of length {len(p)} in a dim-{dim} sequence")
+        if len(labels) != len(points):
             raise ValueError("labels must match points 1:1")
+        self._fill(dim, points, labels)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -825,16 +869,15 @@ class IncrementalGeneralPosition:
         return seq
 
 
-@dataclass(frozen=True)
-class Hyperplane:
+class Hyperplane(_Record):
     """Affine hyperplane {x : <normal, x> = offset} with rational data."""
 
-    normal: tuple[Fraction, ...]
-    offset: Fraction
+    _fields = ("normal", "offset")
 
-    def __post_init__(self):
-        if all(v == 0 for v in self.normal):
+    def __init__(self, normal: tuple[Fraction, ...], offset: Fraction):
+        if all(v == 0 for v in normal):
             raise ValueError("hyperplane normal must be nonzero")
+        self._fill(normal, offset)
 
     @cached_property
     def _int_coeffs(self) -> tuple[int, ...]:

@@ -11,13 +11,12 @@ of any flip k-sequence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import exactgeom
-from .exactgeom import (PointSeq, _alternating, _extends, _least_bad,
-                        _quotient)
+from .exactgeom import (PointSeq, _Record, _alternating, _extends,
+                        _least_bad, _quotient)
 from .ordertype import _raise_dependent, tuple_sign
 
 #: Sharper small-case constants known beyond what the recurrence yields;
@@ -117,8 +116,7 @@ def from_json_dict(obj: Mapping) -> KSequence:
     return from_table(obj["k"], obj["elements"], table)
 
 
-@dataclass(frozen=True)
-class GreedyPartition:
+class GreedyPartition(_Record):
     """Blocks as inclusive position intervals with one-point overlaps.
 
     ``signs[j]`` is None only for a last block of <= k elements; for j < m-1
@@ -126,9 +124,12 @@ class GreedyPartition:
     with sign(D + next element) != signs[j].
     """
 
-    blocks: tuple[tuple[int, int], ...]
-    signs: tuple[int | None, ...]
-    witnesses: tuple[tuple[int, ...] | None, ...]
+    __slots__ = _fields = ("blocks", "signs", "witnesses")
+
+    def __init__(self, blocks: tuple[tuple[int, int], ...],
+                 signs: tuple[int | None, ...],
+                 witnesses: tuple[tuple[int, ...] | None, ...]):
+        self._fill(blocks, signs, witnesses)
 
     @property
     def m(self) -> int:
@@ -277,11 +278,12 @@ def c_bound(k: int) -> Fraction:
     return next(itertools.islice(iter_c_bounds(), k - 1, None))
 
 
-@dataclass(frozen=True)
-class AbstractFlipReport:
-    flip: bool
-    witness: tuple | None = None
-    witness_signs: tuple[int, ...] | None = None
+class AbstractFlipReport(_Record):
+    __slots__ = _fields = ("flip", "witness", "witness_signs")
+
+    def __init__(self, flip: bool, witness: tuple | None = None,
+                 witness_signs: tuple[int, ...] | None = None):
+        self._fill(flip, witness, witness_signs)
 
     def __bool__(self) -> bool:
         return self.flip

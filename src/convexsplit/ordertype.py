@@ -30,37 +30,40 @@ and d-crossing without a sweep (see is_flip).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from . import exactgeom
-from .exactgeom import (GeneralPositionError, PointSeq, _alternating,
-                        _cofactors, _dots, _least_bad)
+from .exactgeom import (GeneralPositionError, PointSeq, _Record,
+                        _alternating, _cofactors, _dots, _least_bad)
 
 
-@dataclass(frozen=True)
-class SignSeq:
+class SignSeq(_Record):
     """Sign sequence of the d-subset ``subset``: one entry per point not in
     it, in sequence order.  Entries are strictly +-1."""
 
-    subset: tuple[int, ...]
-    entries: tuple[int, ...]
+    __slots__ = _fields = ("subset", "entries")
+
+    def __init__(self, subset: tuple[int, ...], entries: tuple[int, ...]):
+        self._fill(subset, entries)
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    homogeneous: bool
-    sign: int | None = None
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+class HomogeneityReport(_Record):
+    __slots__ = _fields = ("homogeneous", "sign", "witness")
+
+    def __init__(self, homogeneous: bool, sign: int | None = None,
+                 witness: tuple[tuple[int, ...], tuple[int, ...]]
+                 | None = None):
+        self._fill(homogeneous, sign, witness)
 
     def __bool__(self) -> bool:
         return self.homogeneous
 
 
-@dataclass(frozen=True)
-class FlipReport:
-    flip: bool
-    witness: SignSeq | None = None
+class FlipReport(_Record):
+    __slots__ = _fields = ("flip", "witness")
+
+    def __init__(self, flip: bool, witness: SignSeq | None = None):
+        self._fill(flip, witness)
 
     def __bool__(self) -> bool:
         return self.flip

@@ -10,11 +10,10 @@ a 1/ceil(c(k)) fraction of the points per stage.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .crossing import PolyPath, decompose
-from .exactgeom import (GeneralPositionError, PointSeq, is_general_position,
-                        project)
+from .exactgeom import (GeneralPositionError, PointSeq, _Record,
+                        is_general_position, project)
 from .kseq import c_bound
 from .ordertype import is_order_type_homogeneous, tuple_sign
 
@@ -29,12 +28,15 @@ class SuperGeneralPositionError(GeneralPositionError):
         self.k = k
 
 
-@dataclass(frozen=True)
-class SuperHomogeneityReport:
-    homogeneous: bool
-    signs: tuple[int, ...] | None = None
-    failing_k: int | None = None
-    witness: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+class SuperHomogeneityReport(_Record):
+    __slots__ = _fields = ("homogeneous", "signs", "failing_k", "witness")
+
+    def __init__(self, homogeneous: bool,
+                 signs: tuple[int, ...] | None = None,
+                 failing_k: int | None = None,
+                 witness: tuple[tuple[int, ...], tuple[int, ...]]
+                 | None = None):
+        self._fill(homogeneous, signs, failing_k, witness)
 
     def __bool__(self) -> bool:
         return self.homogeneous
@@ -161,21 +163,23 @@ def longest_ot_homogeneous(seq: PointSeq) -> PointSeq:
     return seq.subsequence(pick)
 
 
-@dataclass(frozen=True)
-class ExtractionStage:
+class ExtractionStage(_Record):
     """One projection step: decompose in dimension k, keep longest piece."""
 
-    k: int
-    input_len: int
-    pieces: tuple[tuple[int, int], ...]
-    chosen: tuple[int, int]
-    kept_labels: tuple[int, ...]
+    __slots__ = _fields = ("k", "input_len", "pieces", "chosen",
+                           "kept_labels")
+
+    def __init__(self, k: int, input_len: int,
+                 pieces: tuple[tuple[int, int], ...], chosen: tuple[int, int],
+                 kept_labels: tuple[int, ...]):
+        self._fill(k, input_len, pieces, chosen, kept_labels)
 
 
-@dataclass(frozen=True)
-class ExtractionTrace:
-    stages: tuple[ExtractionStage, ...]
-    final: PointSeq
+class ExtractionTrace(_Record):
+    __slots__ = _fields = ("stages", "final")
+
+    def __init__(self, stages: tuple[ExtractionStage, ...], final: PointSeq):
+        self._fill(stages, final)
 
 
 def super_extract(seq: PointSeq) -> ExtractionTrace:

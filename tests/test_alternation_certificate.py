@@ -12,11 +12,15 @@ ran before the certificate.  Reports and raised errors must agree
 exactly.
 """
 
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from convexsplit import crossing, exactgeom, ordertype
+from convexsplit import cli, crossing, curves, exactgeom, ordertype
 from convexsplit.crossing import (CrossingWitness, PolyPath, is_convex,
                                   max_crossings)
 from convexsplit.exactgeom import is_general_position, point_seq
@@ -133,3 +137,76 @@ class TestConvexPath:
         assert is_convex(PolyPath._certified(moment_seq(9, 3)))
         assert not is_convex(PolyPath(two_arc_seq(9, 3)))
         assert len(scans) == 2
+
+
+def moment_poly(d, backward, mirror):
+    """Coefficients and domain of the moment curve in R^d as a poly curve:
+    t on [0, 1], or t -> -t on [-1, 0] to sample it in the other order,
+    with the first coordinate negated when mirror.  The orientation sign
+    of a sample is then set by d, the order and the mirror."""
+    coeffs = [[0] * k + [(-1) ** (k * backward)] for k in range(1, d + 1)]
+    if mirror:
+        coeffs[0] = [-c for c in coeffs[0]]
+    return coeffs, (["-1", "0"] if backward else ["0", "1"])
+
+
+def curve_report(argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(argv) == 0
+    report = json.loads(out.getvalue())
+    report.pop("timing")
+    return report
+
+
+def sweeping(monkeypatch):
+    """Make decompose_curve's crossing oracle always sweep, as it did
+    before one-block samples passed their sign on."""
+    real = curves.max_crossings
+    monkeypatch.setattr(curves, "max_crossings", lambda path: real(
+        PolyPath._certified(path.seq)))
+
+
+class TestCurveCertificate:
+    """decompose_curve's certified crossing number on one-piece samples
+    comes from the sign of greedy's one block, against the sweep."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_one_piece_sample_matches_the_sweep(self, d, backward, mirror,
+                                                monkeypatch):
+        coeffs, domain = moment_poly(d, backward, mirror)
+        argv = ["decompose-curve", "--curve", "poly",
+                "--coeffs", json.dumps(coeffs), "--domain", json.dumps(domain),
+                "--eps", "1/8", "--seed", "3", "--oracle-budget", "100"]
+        pencils = count_calls(monkeypatch, crossing, "_pencils")
+        report = curve_report(argv)
+        assert report["result"]["pieces"] == 1
+        assert report["result"]["certified_max_crossings"] == d
+        assert pencils == []
+        sweeping(monkeypatch)
+        assert curve_report(argv) == report
+        assert len(pencils) > 0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_library_answer_matches_the_sweep(self, d, backward):
+        coeffs, domain = moment_poly(d, backward, False)
+        curve = curves.builtin("poly", coeffs=coeffs, domain=domain)
+        for seed in range(3):
+            dec = curves.decompose_curve(curve, "1/8", seed,
+                                         certify_budget=100)
+            swept = max_crossings(dec.sample.path)
+            assert dec.sample.path._sign == 0
+            assert dec.pieces == 1
+            assert dec.certified_max_crossings == swept.max_crossings == d
+
+    def test_several_pieces_still_sweep(self, monkeypatch):
+        pencils = count_calls(monkeypatch, crossing, "_pencils")
+        argv = ["decompose-curve", "--curve", "quintic", "--eps", "1/10",
+                "--oracle-budget", "100"]
+        report = curve_report(argv)
+        assert report["result"]["pieces"] > 1
+        assert report["result"]["certified_max_crossings"] == 3
+        assert len(pencils) == 1
