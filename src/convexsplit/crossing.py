@@ -50,7 +50,6 @@ class PolyPath(_Record):
     hashed nor shown.
     """
 
-    __slots__ = ("seq", "_sign")
     _fields = ("seq",)
 
     def __init__(self, seq: PointSeq):
@@ -102,7 +101,7 @@ class CrossingWitness(_Record):
     vertices of ``subset`` are pushed to the sides in ``sides``.
     """
 
-    __slots__ = _fields = ("kind", "subset", "sides")
+    _fields = ("kind", "subset", "sides")
 
     def __init__(self, kind: str, subset: tuple[int, ...],
                  sides: tuple[int, ...] | None = None):
@@ -110,7 +109,7 @@ class CrossingWitness(_Record):
 
 
 class CrossingReport(_Record):
-    __slots__ = _fields = ("max_crossings", "witness")
+    _fields = ("max_crossings", "witness")
 
     def __init__(self, max_crossings: int, witness: CrossingWitness):
         self._fill(max_crossings, witness)
@@ -287,7 +286,7 @@ def is_convex(path: PolyPath) -> bool:
 class ConvexDecomposition(_Record):
     """Contiguous pieces with one-point overlaps, each piece convex."""
 
-    __slots__ = _fields = ("pieces", "partition")
+    _fields = ("pieces", "partition")
 
     def __init__(self, pieces: tuple[tuple[int, int], ...],
                  partition: kseq.GreedyPartition):

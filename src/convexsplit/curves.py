@@ -46,7 +46,7 @@ class CurveSpec(_Record):
     ``params`` defaults to a fresh empty dict; being a dict, it leaves
     CurveSpec unhashable."""
 
-    __slots__ = _fields = ("name", "dim", "domain", "evaluator", "params")
+    _fields = ("name", "dim", "domain", "evaluator", "params")
 
     def __init__(self, name: str, dim: int, domain: tuple[Fraction, Fraction],
                  evaluator: Callable[[Fraction], Point],
@@ -172,7 +172,7 @@ class _SplitMix:
 
 
 class EpsSample(_Record):
-    __slots__ = _fields = ("eps", "params", "path", "retries")
+    _fields = ("eps", "params", "path", "retries")
 
     def __init__(self, eps: Fraction, params: tuple[Fraction, ...],
                  path: PolyPath, retries: int):
@@ -234,8 +234,8 @@ class CurveDecomposition(_Record):
     oracle was run on the sampled path.
     """
 
-    __slots__ = _fields = ("sample", "decomposition", "cuts", "intervals",
-                           "certified_max_crossings")
+    _fields = ("sample", "decomposition", "cuts", "intervals",
+               "certified_max_crossings")
 
     def __init__(self, sample: EpsSample, decomposition: ConvexDecomposition,
                  cuts: tuple[Fraction, ...],

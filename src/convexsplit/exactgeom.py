@@ -60,11 +60,11 @@ class _Record:
     _key), hash and repr then read them as a frozen dataclass's would:
     _key is the tuple of the fields, and a field that decides nothing
     is left out of it by overriding _key.  Assigning or deleting any
-    attribute raises AttributeError.  Classes with no cached_property
-    declare __slots__.
+    attribute raises AttributeError.  Instances keep their fields in
+    their __dict__, where cached_property stores too, and copy and
+    pickle restore that dict as it is.
     """
 
-    __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _fill(self, *values) -> None:
@@ -516,7 +516,7 @@ class GeneralPositionReport(_Record):
     proves general position, and else 0.  It records how the answer was
     reached, so reports compare and hash on ``ok`` and ``witness`` alone."""
 
-    __slots__ = _fields = ("ok", "witness", "sign")
+    _fields = ("ok", "witness", "sign")
 
     def __init__(self, ok: bool, witness: tuple[int, ...] | None = None,
                  sign: int = 0):

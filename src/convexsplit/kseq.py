@@ -124,7 +124,7 @@ class GreedyPartition(_Record):
     with sign(D + next element) != signs[j].
     """
 
-    __slots__ = _fields = ("blocks", "signs", "witnesses")
+    _fields = ("blocks", "signs", "witnesses")
 
     def __init__(self, blocks: tuple[tuple[int, int], ...],
                  signs: tuple[int | None, ...],
@@ -279,7 +279,7 @@ def c_bound(k: int) -> Fraction:
 
 
 class AbstractFlipReport(_Record):
-    __slots__ = _fields = ("flip", "witness", "witness_signs")
+    _fields = ("flip", "witness", "witness_signs")
 
     def __init__(self, flip: bool, witness: tuple | None = None,
                  witness_signs: tuple[int, ...] | None = None):

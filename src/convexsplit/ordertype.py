@@ -41,14 +41,14 @@ class SignSeq(_Record):
     """Sign sequence of the d-subset ``subset``: one entry per point not in
     it, in sequence order.  Entries are strictly +-1."""
 
-    __slots__ = _fields = ("subset", "entries")
+    _fields = ("subset", "entries")
 
     def __init__(self, subset: tuple[int, ...], entries: tuple[int, ...]):
         self._fill(subset, entries)
 
 
 class HomogeneityReport(_Record):
-    __slots__ = _fields = ("homogeneous", "sign", "witness")
+    _fields = ("homogeneous", "sign", "witness")
 
     def __init__(self, homogeneous: bool, sign: int | None = None,
                  witness: tuple[tuple[int, ...], tuple[int, ...]]
@@ -60,7 +60,7 @@ class HomogeneityReport(_Record):
 
 
 class FlipReport(_Record):
-    __slots__ = _fields = ("flip", "witness")
+    _fields = ("flip", "witness")
 
     def __init__(self, flip: bool, witness: SignSeq | None = None):
         self._fill(flip, witness)

@@ -29,7 +29,7 @@ class SuperGeneralPositionError(GeneralPositionError):
 
 
 class SuperHomogeneityReport(_Record):
-    __slots__ = _fields = ("homogeneous", "signs", "failing_k", "witness")
+    _fields = ("homogeneous", "signs", "failing_k", "witness")
 
     def __init__(self, homogeneous: bool,
                  signs: tuple[int, ...] | None = None,
@@ -166,8 +166,7 @@ def longest_ot_homogeneous(seq: PointSeq) -> PointSeq:
 class ExtractionStage(_Record):
     """One projection step: decompose in dimension k, keep longest piece."""
 
-    __slots__ = _fields = ("k", "input_len", "pieces", "chosen",
-                           "kept_labels")
+    _fields = ("k", "input_len", "pieces", "chosen", "kept_labels")
 
     def __init__(self, k: int, input_len: int,
                  pieces: tuple[tuple[int, int], ...], chosen: tuple[int, int],
@@ -176,7 +175,7 @@ class ExtractionStage(_Record):
 
 
 class ExtractionTrace(_Record):
-    __slots__ = _fields = ("stages", "final")
+    _fields = ("stages", "final")
 
     def __init__(self, stages: tuple[ExtractionStage, ...], final: PointSeq):
         self._fill(stages, final)

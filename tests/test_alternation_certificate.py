@@ -9,7 +9,9 @@ sequence whose homogeneous rows alternate is true.  The oracles are the
 sweep itself: ``max_crossings`` on ``PolyPath._certified``, whose
 ``_sign`` is 0, and ``sweep_is_flip``, the flip test's pencil loop as it
 ran before the certificate.  Reports and raised errors must agree
-exactly.
+exactly.  ``decompose_curve`` passes the sign of a one-block sample on
+to the oracle in the same way; its reports are compared with runs whose
+oracle always sweeps.
 """
 
 import io

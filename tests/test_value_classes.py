@@ -4,13 +4,16 @@ For each class: its constructor's parameters and defaults, equality
 (same class and equal fields, with ``GeneralPositionReport.sign`` and
 ``PolyPath._sign`` left out), the hash of the compared fields as a
 tuple (``CurveSpec`` holds a dict and so has none), the exact ``repr``
-text, ``__bool__`` where a report has one, and that assigning or
-deleting any attribute raises ``AttributeError``.  The repr texts are
+text, ``__bool__`` where a report has one, that assigning or deleting
+any attribute raises ``AttributeError``, and that copy and pickle keep
+every attribute.  The repr texts are
 those the classes printed when they were frozen dataclasses; demo 02
 prints a ``CrossingWitness``.
 """
 
+import copy
 import inspect
+import pickle
 from fractions import Fraction as F
 from functools import cached_property
 
@@ -94,7 +97,8 @@ CASES = {
         "blocks=((0, 2),), signs=(1,), witnesses=(None,)))"),
     CurveSpec: (
         lambda: CurveSpec("line", 1, (F(0), F(1)), abs),
-        ("name", "dim", "domain", "evaluator", "params"), {"params": FRESH_DICT},
+        ("name", "dim", "domain", "evaluator", "params"),
+        {"params": FRESH_DICT},
         "CurveSpec(name='line', dim=1, domain=(Fraction(0, 1), "
         "Fraction(1, 1)), evaluator=<built-in function abs>, params={})"),
     EpsSample: (
@@ -109,7 +113,8 @@ CASES = {
         lambda: CurveDecomposition(
             sample(), ConvexDecomposition(((0, 2),), partition()), (),
             ((F(0), F(1)),)),
-        ("sample", "decomposition", "cuts", "intervals", "certified_max_crossings"), {"certified_max_crossings": None},
+        ("sample", "decomposition", "cuts", "intervals",
+         "certified_max_crossings"), {"certified_max_crossings": None},
         "CurveDecomposition(sample=EpsSample(eps=Fraction(1, 2), "
         "params=(Fraction(1, 8), Fraction(3, 8), Fraction(5, 8)), "
         "path=PolyPath(seq=PointSeq(dim=2, points=((Fraction(0, 1), "
@@ -125,7 +130,8 @@ CASES = {
         "GreedyPartition(blocks=((0, 2),), signs=(1,), witnesses=(None,))"),
     AbstractFlipReport: (
         lambda: AbstractFlipReport(False, ("a", "b"), (1, -1, 1)),
-        ("flip", "witness", "witness_signs"), {"witness": None, "witness_signs": None},
+        ("flip", "witness", "witness_signs"),
+        {"witness": None, "witness_signs": None},
         "AbstractFlipReport(flip=False, witness=('a', 'b'), "
         "witness_signs=(1, -1, 1))"),
     SignSeq: (
@@ -144,7 +150,8 @@ CASES = {
         "entries=(1, -1)))"),
     SuperHomogeneityReport: (
         lambda: SuperHomogeneityReport(True, signs=(1, -1)),
-        ("homogeneous", "signs", "failing_k", "witness"), {"signs": None, "failing_k": None, "witness": None},
+        ("homogeneous", "signs", "failing_k", "witness"),
+        {"signs": None, "failing_k": None, "witness": None},
         "SuperHomogeneityReport(homogeneous=True, signs=(1, -1), "
         "failing_k=None, witness=None)"),
     ExtractionStage: (
@@ -223,6 +230,22 @@ def test_fields_can_be_neither_assigned_nor_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert repr(value) == CASES[cls][3]
+
+
+@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
+def test_copy_and_pickle_keep_every_attribute(cls):
+    value = CASES[cls][0]()
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls and twin == value
+        assert repr(twin) == CASES[cls][3]
+        assert vars(twin).keys() == vars(value).keys()
+
+
+def test_copied_path_keeps_its_sign():
+    certified = PolyPath._certified(seq(), -1)
+    assert copy.copy(certified)._sign == -1
+    assert pickle.loads(pickle.dumps(certified))._sign == -1
 
 
 def test_a_changed_field_breaks_equality():
