@@ -54,7 +54,6 @@ class PolyPath(_Record):
 
     def __init__(self, seq: PointSeq):
         self._fill(seq)
-        object.__setattr__(self, "_sign", 0)
         # A method of its own, which bench/layers.py counts by this name.
         self.__post_init__()
 

@@ -57,7 +57,7 @@ def sign_seq():
 FRESH_DICT = object()   # a new {} for every instance
 
 
-# Class -> (a builder of one instance, its constructor's parameters, which
+# Class -> (a factory of one instance, its constructor's parameters, which
 # are its fields in order, their defaults, the instance's repr).
 CASES = {
     PointSeq: (
