@@ -23,10 +23,11 @@ the same quotients (ordertype._pencils).  On 3- and 4-vectors
 first coordinate maps to a plain difference, as the rows of integer
 points all do.
 ``PointSeq.orientation_of`` memoizes single tuples for callers that ask
-for them one at a time.  Exact values are left to fraction-free Bareiss
-elimination (``det_rational``), and hyperplanes to ``_cofactors``: the
-integer vector c(D) with c(D) . x = det(D + [x]) for every row x,
-hand-expanded for d <= 3 and from Bareiss minors above.
+for them one at a time.  Exact values come from the same step:
+hyperplanes are ``_cofactors``, the integer vector c(D) with
+c(D) . x = det(D + [x]) for every row x, hand-expanded for d <= 3 and
+above from the cofactors of D mod its first row by an exact division,
+and ``det_rational`` dots one with the last row.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -143,44 +144,25 @@ def _hom_row(p: Point) -> tuple[int, ...]:
     return (scale,) + tuple((scale // c.denominator) * c.numerator for c in p)
 
 
-def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, n):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        piv = m[i][i]
-        for r in range(i + 1, n):
-            mr, mi = m[r], m[i]
-            lead = mr[i]
-            for c in range(i + 1, n):
-                mr[c] = (mr[c] * piv - lead * mi[c]) // prev
-            mr[i] = 0
-        prev = piv
-    return sign * m[-1][-1]
-
-
 def _cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Integer vector c with c . x == det(rows + [x]) for every row x.
 
     ``rows`` are d integer rows of length d+1; c lists the cofactors of the
     missing last row, so for homogeneous point rows it is the (unscaled)
     hyperplane through the d points, zero iff they are affinely dependent.
-    d = 1, 2, 3 are hand-expanded (d = 3 from the six 2x2 minors of the last
-    two rows); larger d takes signed Bareiss minors.
+    d = 0 gives (1,); d = 1, 2, 3 are hand-expanded (d = 3 from the six
+    2x2 minors of the last two rows).  Above that, let v be the first row,
+    k its first nonzero coordinate, a = v[k] and c' the cofactors of
+    W' = _quotient(rows[1:], v).  By _quotient's identity, c is
+    (-1)^k / a^(d-1) times the vector with a*c'_j off k and -c' . v_-k at
+    k, an exact division; a zero v gives 0.  From d = 4, v has 5 or more
+    coordinates and _quotient takes its general map.  Its unrolled map
+    for 3- and 4-vectors divides some rows by a, which would put c off by
+    a power of a.
     """
     d = len(rows)
+    if d == 0:
+        return (1,)
     if d == 1:
         ((a, b),) = rows
         return (-b, a)
@@ -199,10 +181,16 @@ def _cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
                 a0 * m23 - a2 * m03 + a3 * m02,
                 a1 * m03 - a0 * m13 - a3 * m01,
                 a0 * m12 - a1 * m02 + a2 * m01)
-    return tuple(
-        (-1) ** (d + j)
-        * _bareiss_det([row[:j] + row[j + 1:] for row in rows])
-        for j in range(d + 1))
+    v = rows[0]
+    if not any(v):
+        return (0,) * (d + 1)
+    k = next(j for j, x in enumerate(v) if x)
+    a = v[k]
+    c = _cofactors(_quotient(rows[1:], v)[0])
+    q = -a ** (d - 2) if k % 2 else a ** (d - 2)
+    out = [x // q for x in c]
+    out.insert(k, -sum(map(mul, c, v[:k] + v[k + 1:])) // (a * q))
+    return tuple(out)
 
 
 def _dots(c: Sequence[int], rows: Iterable[Sequence[int]]) -> list[int]:
@@ -463,17 +451,18 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix; a matrix that is not
-    square raises DimensionMismatchError."""
+    square raises DimensionMismatchError.  It is _cofactors of all rows
+    but the last, dotted with the last, each row cleared by _hom_row and
+    the product over the product of their scales."""
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(
             f"determinant of a non-square matrix with {len(rows)} rows")
-    scale = 1
-    scaled = []
-    for row in rows:
-        s = math.lcm(*(c.denominator for c in row)) if row else 1
-        scale *= s
-        scaled.append([(s // c.denominator) * c.numerator for c in row])
-    return Fraction(_bareiss_det(scaled), scale)
+    if not rows:
+        return Fraction(1)
+    hom = list(map(_hom_row, rows))
+    c = _cofactors([row[1:] for row in hom[:-1]])
+    return Fraction(sum(map(mul, c, hom[-1][1:])),
+                    math.prod(row[0] for row in hom))
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:

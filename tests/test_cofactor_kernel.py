@@ -14,12 +14,16 @@ decided by Bareiss elimination on the full (d+1)x(d+1) matrix;
 ``old_is_general_position`` keeps the duplicate and collinear hash
 passes it ran first.  Reports, witnesses and raised errors (type,
 message and witness) must agree exactly, on general-position and
-degenerate input alike.
+degenerate input alike.  ``_bareiss_det`` is the elimination that gave
+exact values, and cofactor vectors from d = 4 up, before ``_cofactors``
+and ``det_rational`` took them from the quotient step; it is their
+oracle here and in test_exactgeom.py.
 """
 
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from fractions import Fraction
 
 import pytest
@@ -31,15 +35,42 @@ from convexsplit.crossing import (CrossingReport, CrossingWitness, PolyPath,
                                   max_crossings)
 from convexsplit.exactgeom import (GeneralPositionError,
                                    GeneralPositionReport, Hyperplane,
-                                   Point, PointSeq, _bareiss_det,
-                                   _cofactors, _det_sign, _direction,
-                                   _hom_row, as_point,
+                                   Point, PointSeq, _cofactors,
+                                   _det_sign, _direction, _hom_row, as_point,
                                    is_general_position, point_seq,
                                    span_hyperplane)
 from convexsplit.ordertype import (FlipReport, SignSeq, count_sign_changes,
                                    is_flip, is_order_type_homogeneous,
                                    sign_sequence)
 from test_local_convexity import scan_homogeneous
+
+
+def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            for r in range(i + 1, n):
+                if m[r][i] != 0:
+                    m[i], m[r] = m[r], m[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        piv = m[i][i]
+        for r in range(i + 1, n):
+            mr, mi = m[r], m[i]
+            lead = mr[i]
+            for c in range(i + 1, n):
+                mr[c] = (mr[c] * piv - lead * mi[c]) // prev
+            mr[i] = 0
+        prev = piv
+    return sign * m[-1][-1]
 
 
 def bareiss_sign(rows):
@@ -221,12 +252,12 @@ def outcome(fn, *args):
 
 
 @st.composite
-def point_sets(draw, max_extra=4):
-    """(d, points) for d = 1..4: a small grid (duplicates, collinear and
-    coplanar subsets are common), a wide box (mostly general position) or
-    moment-curve points in any order; then maybe a duplicate, and maybe
+def point_sets(draw, max_extra=4, max_dim=4):
+    """(d, points) for d = 1..max_dim: a small grid (duplicates, collinear
+    and coplanar subsets are common), a wide box (mostly general position)
+    or moment-curve points in any order; then maybe a duplicate, and maybe
     d+1 or more points flattened onto the hyperplane x_d = 0."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, max_dim))
     n = draw(st.integers(d + 1, d + 1 + max_extra))
     kind = draw(st.sampled_from(("grid", "wide", "moment")))
     if kind == "moment":
@@ -285,13 +316,19 @@ def curve_paths(draw, max_arcs=3):
 
 
 class TestKernel:
-    @given(st.integers(0, 5), st.data())
+    @given(st.integers(0, 6), st.data())
     @settings(max_examples=300, deadline=None)
     def test_cofactors_give_every_determinant(self, d, data):
+        # From d = 4 up the first row is the quotient pivot: a zero one
+        # gives the zero vector, and zero leading columns, in the first row
+        # or in all, move the pivot's coordinate k off 0 at some level.
         big = st.integers(-10 ** 12, 10 ** 12)
         row = st.lists(st.one_of(st.integers(-3, 3), big),
                        min_size=d + 1, max_size=d + 1)
         rows = data.draw(st.lists(row, min_size=d, max_size=d))
+        zeros = data.draw(st.integers(0, d + 1))
+        for r in rows[:data.draw(st.sampled_from((0, 1, d)))]:
+            r[:zeros] = [0] * zeros
         xs = data.draw(st.lists(row, min_size=1, max_size=4)) + rows
         c = _cofactors(rows)
         assert len(c) == d + 1
@@ -307,7 +344,7 @@ class TestKernel:
             min_size=n, max_size=n))
         assert _det_sign(rows) == bareiss_sign(rows)
 
-    @given(point_sets())
+    @given(point_sets(max_dim=5))
     @settings(max_examples=300, deadline=None)
     def test_span_hyperplane_matches_minor_loop(self, case):
         d, pts = case
@@ -316,7 +353,7 @@ class TestKernel:
 
 
 class TestDFirstScans:
-    @given(point_sets(), st.data())
+    @given(point_sets(max_dim=5), st.data())
     @settings(max_examples=400, deadline=None)
     def test_sign_sequence_matches_tuple_path(self, case, data):
         d, pts = case

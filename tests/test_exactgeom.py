@@ -1,10 +1,11 @@
 """Exact predicate layer: orientations, spans, general position."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexsplit.exactgeom import (
@@ -23,6 +24,7 @@ from convexsplit.exactgeom import (
     side_of,
     span_hyperplane,
 )
+from test_cofactor_kernel import _bareiss_det
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=12)
 
@@ -137,6 +139,20 @@ class TestDeterminant:
     def test_matches_laplace_5x5(self, rows):
         rows = [[Fraction(v) for v in r] for r in rows]
         assert det_rational(rows) == _laplace_det(rows)
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(rationals, st.just(Fraction(0))),
+                 min_size=n, max_size=n), min_size=n, max_size=n)))
+    @example([])
+    @example([[Fraction(-3, 7)]])
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bareiss_over_row_scales(self, rows):
+        scale, scaled = 1, []
+        for r in rows:
+            s = math.lcm(*(c.denominator for c in r))
+            scale *= s
+            scaled.append([s // c.denominator * c.numerator for c in r])
+        assert det_rational(rows) == Fraction(_bareiss_det(scaled), scale)
 
     def test_singular(self):
         assert det_rational([[Fraction(1), Fraction(2)],

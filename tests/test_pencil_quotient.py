@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convexsplit import exactgeom
+from convexsplit import crossing, exactgeom, ordertype
 from convexsplit.crossing import PolyPath, max_crossings
 from convexsplit.exactgeom import _cofactors, _dots, point_seq
 from convexsplit.ordertype import _pencils, is_flip
@@ -161,9 +161,11 @@ class TestCost:
     def test_r4_moment_points_run_no_bareiss_minor(self, monkeypatch):
         # Homogeneity and general position run the alternating recursion,
         # and the pencils the quotient kernel, so from R^4 up neither the
-        # flip test nor the crossing oracle builds a cofactor vector.
+        # flip test nor the crossing oracle builds a cofactor vector; from
+        # d = 4 up that is the only code that builds exact minors.
         seq = random_moment_seq(14, 4)
-        bareiss = count_calls(monkeypatch, exactgeom, "_bareiss_det")
+        cofactors = [count_calls(monkeypatch, owner, "_cofactors")
+                     for owner in (exactgeom, ordertype, crossing)]
         assert is_flip(seq)
         assert max_crossings(PolyPath(seq)).max_crossings == 4
-        assert bareiss == []
+        assert cofactors == [[], [], []]

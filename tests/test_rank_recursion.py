@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from convexsplit import cli, crossing, exactgeom, ordertype, ramsey
 from convexsplit.crossing import PolyPath, decompose
-from convexsplit.exactgeom import (PointSeq, _alternating, _bareiss_det,
-                                   _quotient, point_seq)
+from convexsplit.exactgeom import (PointSeq, _alternating, _quotient,
+                                   point_seq)
 from convexsplit.kseq import GreedyPartition, from_points, greedy_partition
 from convexsplit.ordertype import is_order_type_homogeneous
 from convexsplit.ramsey import _super_extract, super_extract
-from test_cofactor_kernel import (bareiss_sign, count_calls, curve_paths,
-                                  moment_seq, old_tuple_sign, outcome,
-                                  point_sets)
+from test_cofactor_kernel import (_bareiss_det, bareiss_sign, count_calls,
+                                  curve_paths, moment_seq, old_tuple_sign,
+                                  outcome, point_sets)
 from test_local_convexity import scan_homogeneous
 
 
