@@ -17,9 +17,9 @@ plane is the vertices' rows modulo F, by the quotient recursion, with
 one quotient per prefix of F shared by every F that starts with it.
 That is O(n^(d-1) * (n log n + 2^d * d)) arithmetic operations, against
 O(2^d * n^(d+1)) for visiting every d-subset with its 2^d
-perturbations.  Convex input takes no pencil: a path whose
-general-position check found its vertices sigma-homogeneous is d-crossing,
-and its witness is read off sigma alone (see max_crossings).
+perturbations.  Convex input takes no pencil: a path whose vertices'
+certificate PointSeq._sigma is sigma != 0 is d-crossing, and its witness
+is read off sigma alone (see max_crossings); the sweep is _swept.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from . import kseq
 from .exactgeom import (GeneralPositionError, Hyperplane, PointSeq, _Record,
                         _cofactors, _dots, is_general_position,
                         span_hyperplane)
-from .ordertype import _pencils, is_order_type_homogeneous
+from .ordertype import _pencils
 
 
 class EdgeContainedError(ValueError):
@@ -45,9 +45,9 @@ class EdgeContainedError(ValueError):
 class PolyPath(_Record):
     """Polygonal path on a general-position vertex sequence (n >= 2).
 
-    ``_sign`` is sigma when the vertices are known sigma-homogeneous, else
-    0.  It records how they were checked, so it is neither compared,
-    hashed nor shown.
+    Whether the vertices are convex is their certificate seq._sigma, which
+    the general-position check computes from R^2 up and every later
+    reader shares.
     """
 
     _fields = ("seq",)
@@ -64,27 +64,23 @@ class PolyPath(_Record):
         if not report:
             raise GeneralPositionError(
                 "path vertices are not in general position", report.witness)
-        object.__setattr__(self, "_sign", report.sign)
 
     @classmethod
-    def _certified(cls, seq: PointSeq, sign: int = 0) -> "PolyPath":
+    def _certified(cls, seq: PointSeq) -> "PolyPath":
         """Path on vertices already certified in general position, built
-        without re-running is_general_position; ``sign`` is its _sign.
+        without re-running is_general_position, or computing seq._sigma.
 
-        Three callers hold such a certificate, and all pass at least 2
+        Two callers hold such a certificate, and both pass at least 2
         points.  epsilon_sample passes the points that
         IncrementalGeneralPosition accepted: every subset of <= dim+1 of
         them was checked when its last point joined, by the same quotient
-        recursion that is_general_position runs on the whole set.  ramsey's extraction
-        stages pass contiguous pieces of projections whose whole was just
-        checked, and a subsequence of a general-position sequence is in
-        general position.  decompose_curve passes such a sample again
-        with the sign of the one greedy block that it closed, which
-        proves the vertices sign-homogeneous.
+        recursion that is_general_position runs on the whole set.
+        ramsey's extraction stages pass contiguous pieces of projections
+        whose whole was just checked, and a subsequence of a
+        general-position sequence is in general position.
         """
         path = object.__new__(cls)
-        object.__setattr__(path, "seq", seq)
-        object.__setattr__(path, "_sign", sign)
+        path._fill(seq)
         return path
 
     @property
@@ -200,27 +196,26 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     subsets takes C(n, d) cofactor vectors and 2^d side patterns of
     length n for each: O(2^d * n^(d+1)).
 
-    Convex input sweeps nothing.  When the general-position check found
-    the vertices sigma-homogeneous (path._sign = sigma) and n > d, the
-    answer is d, and the witness is the first key of D = (0, ..., d-1)
-    that counts d, read off the sides [0] * d + [sigma] * (n - d).
+    Convex input sweeps nothing.  When the vertices are sigma-homogeneous
+    (seq._sigma = sigma != 0, so n > d), the answer is d, and the witness
+    is the first key of D = (0, ..., d-1) that counts d, read off the
+    sides [0] * d + [sigma] * (n - d).
     Proof.  Every (d+1)-tuple has orientation sigma, so every entry of
     every D's sign sequence is sigma (see ordertype.sign_sequence): no
     sign changes, and each D's best count is d (see ordertype.is_flip).
     So the maximum is d, and the lexicographically first D, (0, ..., d-1),
     reaches it.  Its sides are those the sweep reads for it: sign
     det[D; y] for a vertex y, 0 on D and sigma after it, as (0, ..., d-1,
-    y) is increasing.  D holds an edge, so h(D) is no key, and the first
-    key counting d is the perturbation with sides alternating and ending
-    in -sigma.  The cost is at most 2^d side patterns of length n, after
-    the O(n^(d-1)) determinants of the general-position check, or of
-    the one greedy block that decompose_curve closed.  Other paths in R^1
-    and PolyPath._certified paths have _sign 0 and always sweep.
+    y) is increasing.  From R^2 up D holds an edge, so h(D) is no key, and
+    the first key counting d is the perturbation with sides alternating
+    and ending in -sigma; on the line h(D) is vertex 0, counting 1.  The cost is at most 2^d side patterns of length n, after
+    the certificate's O(n^(d-1)) determinants, which PolyPath's check has
+    paid from R^2 up.  Other input pays them, and then _swept runs.
 
     A path from PolyPath is in general position.  On a dependent
     (d+1)-subset, which only a PolyPath._certified path can hold, the
-    sweep stops and the lexicographic scan over d-subsets raises its
-    GeneralPositionError.
+    certificate is 0, the sweep stops and the lexicographic scan over
+    d-subsets raises its GeneralPositionError.
     """
     seq = path.seq
     n, d = len(seq), seq.dim
@@ -230,12 +225,19 @@ def max_crossings(path: PolyPath) -> CrossingReport:
         sides = tuple((-1) ** i for i in range(n))
         return CrossingReport(
             n - 1, CrossingWitness("perturbed", tuple(range(n)), sides))
-    if path._sign:
-        sides = [0] * d + [path._sign] * (n - d)
+    sigma = seq._sigma
+    if sigma:
+        sides = [0] * d + [sigma] * (n - d)
         return CrossingReport(d, next(wit for count, wit
                                       in _keys(sides, tuple(range(d)))
                                       if count == d))
-    hom = seq._hom
+    return _swept(seq)
+
+
+def _swept(seq: PointSeq) -> CrossingReport:
+    """max_crossings on n > d vertices by the pencil sweep, whatever the
+    certificate says."""
+    hom, d = seq._hom, seq.dim
     best = -1
     best_wit: CrossingWitness | None = None
     for F, pencil in _pencils(hom, d):
@@ -272,14 +274,12 @@ def is_convex(path: PolyPath) -> bool:
     """Convex = d-crossing = order-type homogeneous vertex sequence.
 
     Paths with n <= dim vertices are convex by convention (no hyperplane
-    can witness dim+1 crossings among fewer parameter events).  A nonzero
-    path._sign is a proof of homogeneity, so it answers at once.  A zero
-    one decides nothing (PolyPath._certified paths and R^1 paths mostly
-    hold 0), and the homogeneity test runs.
+    can witness dim+1 crossings among fewer parameter events).  Above
+    that the answer is the certificate seq._sigma: _alternating is exact
+    in every dimension, nonzero iff every (d+1)-tuple has one nonzero
+    sign, so no witness search runs.
     """
-    if len(path.seq) <= path.dim or path._sign:
-        return True
-    return bool(is_order_type_homogeneous(path.seq))
+    return len(path.seq) <= path.dim or bool(path.seq._sigma)
 
 
 class ConvexDecomposition(_Record):
@@ -301,12 +301,14 @@ def decompose(path: PolyPath) -> ConvexDecomposition:
 
     Piece count is minimal among contiguous one-point-overlap subdivisions
     because convexity of a contiguous run is hereditary.  A path whose
-    vertices are known sigma-homogeneous is the one block greedy would
-    close, with sign sigma.
+    certificate seq._sigma is sigma != 0 is the one block greedy would
+    close, with sign sigma; other paths pay that alternation prefix
+    before greedy.
     """
-    if path._sign:
+    sigma = path.seq._sigma
+    if sigma:
         last = len(path.seq) - 1
-        gp = kseq.GreedyPartition(((0, last),), (path._sign,), (None,))
+        gp = kseq.GreedyPartition(((0, last),), (sigma,), (None,))
         return ConvexDecomposition(gp.blocks, gp)
     gp = kseq.greedy_partition(kseq.from_points(path.seq))
     return ConvexDecomposition(gp.blocks, gp)

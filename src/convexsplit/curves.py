@@ -256,9 +256,9 @@ def decompose_curve(curve: CurveSpec, eps, seed: int = 0, *,
     The first and last parameter intervals are extended to the domain
     endpoints so the intervals tile the domain.  When the sampled path has
     at most certify_budget vertices the exact oracle certifies its
-    crossing number.  A sample that greedy closes as one block of sign
-    sigma is sigma-homogeneous, so the oracle gets its path with _sign
-    sigma and answers without a pencil sweep; other samples sweep.
+    crossing number.  decompose computes the sample's certificate
+    seq._sigma, and the oracle reads it again: a convex sample is one
+    piece and answers without a pencil sweep; other samples sweep.
     """
     sample = epsilon_sample(curve, eps, seed)
     dec = decompose(sample.path)
@@ -268,8 +268,5 @@ def decompose_curve(curve: CurveSpec, eps, seed: int = 0, *,
     intervals = tuple(zip(bounds, bounds[1:]))
     certified = None
     if certify_budget is not None and len(sample.path.seq) <= certify_budget:
-        path = sample.path
-        if dec.count == 1 and dec.partition.signs[0]:
-            path = PolyPath._certified(path.seq, dec.partition.signs[0])
-        certified = max_crossings(path).max_crossings
+        certified = max_crossings(sample.path).max_crossings
     return CurveDecomposition(sample, dec, cuts, intervals, certified)

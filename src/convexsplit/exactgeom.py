@@ -59,11 +59,10 @@ class _Record:
     A subclass lists its constructor's fields in ``_fields``, in order,
     and its __init__ stores them with _fill.  Equality (same class, equal
     _key), hash and repr then read them as a frozen dataclass's would:
-    _key is the tuple of the fields, and a field that decides nothing
-    is left out of it by overriding _key.  Assigning or deleting any
+    _key is the tuple of the fields.  Assigning or deleting any
     attribute raises AttributeError.  Instances keep their fields in
-    their __dict__, where cached_property stores too, and copy and
-    pickle restore that dict as it is.
+    their __dict__, where cached_property stores too, outside _key, and
+    copy and pickle restore that dict as it is.
     """
 
     _fields: tuple[str, ...] = ()
@@ -501,18 +500,13 @@ def orientation(pts: Sequence) -> int:
 
 
 class GeneralPositionReport(_Record):
-    """``sign`` is sigma when the points were found sigma-homogeneous, which
-    proves general position, and else 0.  It records how the answer was
-    reached, so reports compare and hash on ``ok`` and ``witness`` alone."""
+    """Verdict of is_general_position, with a minimal dependent subset as
+    ``witness`` when it fails."""
 
-    _fields = ("ok", "witness", "sign")
+    _fields = ("ok", "witness")
 
-    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None,
-                 sign: int = 0):
-        self._fill(ok, witness, sign)
-
-    def _key(self) -> tuple:
-        return (self.ok, self.witness)
+    def __init__(self, ok: bool, witness: tuple[int, ...] | None = None):
+        self._fill(ok, witness)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -522,7 +516,9 @@ class PointSeq(_Record):
     """Ordered sequence of exact rational points in R^dim.
 
     ``labels`` keep the original indices alive through projections and
-    subsequence extraction.
+    subsequence extraction.  ``_sigma``, cached beside the rows ``_hom``,
+    is the one convexity certificate: sigma when the rows are
+    sigma-alternating (_alternating), else 0, as for n <= dim.
     """
 
     _fields = ("dim", "points", "labels")
@@ -548,6 +544,10 @@ class PointSeq(_Record):
     @cached_property
     def _hom(self) -> tuple[tuple[int, ...], ...]:
         return tuple(map(_hom_row, self.points))
+
+    @cached_property
+    def _sigma(self) -> int:
+        return _alternating(self._hom)
 
     @cached_property
     def _sign_cache(self) -> dict:
@@ -707,9 +707,9 @@ def is_general_position(seq: PointSeq) -> GeneralPositionReport:
     least first, then least last index, else the lexicographically least
     dependent subset of the least size.
 
-    A homogeneous sequence is certified first by _alternating on its
-    rows, with O(n^(d-1)) determinants (at most 3 * C(n, 2) in R^3) for
-    d >= 2 and n >= d+1.  Proof: alternating rows give every
+    A homogeneous sequence is certified first by seq._sigma, with
+    O(n^(d-1)) determinants (at most 3 * C(n, 2) in R^3) for d >= 2,
+    which later readers share.  Proof: alternating rows give every
     (d+1)-subset a nonzero determinant, so it is affinely independent,
     and each smaller subset lies inside one of them.  Otherwise points
     are hashed for duplicates, and each size 3..d+1 takes
@@ -720,11 +720,8 @@ def is_general_position(seq: PointSeq) -> GeneralPositionReport:
     collide or a row is vertical, and only the rest are hashed as
     directions.
     """
-    n = len(seq)
-    if seq.dim >= 2 and n > seq.dim:
-        sign = _alternating(seq._hom)
-        if sign:
-            return GeneralPositionReport(True, sign=sign)
+    if seq.dim >= 2 and seq._sigma:
+        return GeneralPositionReport(True)
     wit = _equal_pair(seq.points, first=True)
     for size in range(3, seq.dim + 2):
         if wit is not None:

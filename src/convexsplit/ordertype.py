@@ -7,7 +7,7 @@ points in order; the sequence has the flip property when every R's sign
 sequence changes sign at most once.
 
 Homogeneity is decided on the points' homogeneous rows by one quotient
-recursion: in R^1 and R^2 by exactgeom._alternating, from O(n)
+recursion: in R^1 and R^2 by the certificate PointSeq._sigma, from O(n)
 determinants, and from R^3 up, or where that fails, by
 exactgeom._least_bad, from O(n^max(2, d-1)) determinants, which also
 names the witness.
@@ -23,8 +23,8 @@ modulo F, taken by the same quotient recursion as homogeneity, one
 quotient per prefix of F shared by every F that starts with it, so no
 cofactor vector is built.  The C(n-1, d-1) pencils take
 O(n^(d-1) * n log n) operations, against O(n^(d+1)) for reading every
-d-subset's sign sequence.  Convex input, whose rows alternate, is flip
-and d-crossing without a sweep (see is_flip).
+d-subset's sign sequence.  Convex input, whose certificate _sigma is
+nonzero, is flip and d-crossing without a sweep (see is_flip).
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import itertools
 from collections.abc import Iterable, Sequence
 
 from . import exactgeom
-from .exactgeom import (GeneralPositionError, PointSeq, _Record,
-                        _alternating, _cofactors, _dots, _least_bad)
+from .exactgeom import (GeneralPositionError, PointSeq, _Record, _cofactors,
+                        _dots, _least_bad)
 
 
 class SignSeq(_Record):
@@ -91,8 +91,8 @@ def _raise_dependent(idx: tuple[int, ...]):
 def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     """Common orientation sign of all (d+1)-tuples, if there is one.
 
-    In R^1 and R^2 homogeneous input is settled by exactgeom._alternating
-    on the homogeneous rows, with 2n - 3 and at most 3n determinants.
+    In R^1 and R^2 homogeneous input is settled by the certificate
+    seq._sigma, from 2n - 3 and at most 3n determinants, or none.
     Where that fails, and from R^3 up at once, the first tuple's sign is
     the candidate and exactgeom._least_bad names the least tuple whose
     sign differs from it, the witness, from O(n^max(2, d-1))
@@ -106,10 +106,8 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
     hom = seq._hom
-    if d < 3:
-        sigma = _alternating(hom)
-        if sigma:
-            return HomogeneityReport(True, sign=sigma)
+    if d < 3 and seq._sigma:
+        return HomogeneityReport(True, sign=seq._sigma)
     sigma = exactgeom._det_sign(hom[:d + 1])
     # A zero first tuple is the least witness for either sign.
     wit = _least_bad(hom, sigma or 1)
@@ -329,14 +327,14 @@ def is_flip(seq: PointSeq) -> FlipReport:
     O(n^(d+1)).
 
     Homogeneous input sweeps nothing: when the homogeneous rows
-    alternate (exactgeom._alternating), the sequence is flip.  Proof.
-    Every (d+1)-tuple then has the orientation sigma, so every entry of
-    every d-subset's sign sequence is sigma, with no sign change.  Put
-    as crossings: a homogeneous sequence is d-crossing, hence
-    (d+1)-crossing, hence flip.  The test takes O(n^(d-1)) determinants
-    (2n - 3 on the line, 3n - 8 in the plane), where the sweep takes
-    C(n-1, d-1) pencil sorts.  When the rows do not alternate the sweep
-    runs as below, so no report or error changes.
+    alternate (the certificate seq._sigma is nonzero), the sequence is
+    flip.  Proof.  Every (d+1)-tuple then has the orientation sigma, so
+    every entry of every d-subset's sign sequence is sigma, with no sign
+    change.  Put as crossings: a homogeneous sequence is d-crossing,
+    hence (d+1)-crossing, hence flip.  The certificate takes O(n^(d-1))
+    determinants once (2n - 3 on the line, 3n - 8 in the plane), where
+    the sweep takes C(n-1, d-1) pencil sorts.  Otherwise the sweep runs
+    as below, so no report or error changes.
 
     Degenerate input: the sweep of F stops on meeting a dependent
     (d+1)-subset, and the scan over d-subsets (_scan_flip) resumes at the
@@ -348,7 +346,7 @@ def is_flip(seq: PointSeq) -> FlipReport:
     n, d = len(seq), seq.dim
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
-    if _alternating(seq._hom):
+    if seq._sigma:
         return FlipReport(True)
     for F, pencil in _pencils(seq._hom, d):
         if pencil is None:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from convexsplit.cli import main
-from convexsplit.crossing import PolyPath, decompose, max_crossings
+from convexsplit.crossing import PolyPath, _swept, decompose, max_crossings
 from convexsplit.curves import builtin, decompose_curve, epsilon_sample
 from convexsplit.exactgeom import (det_rational, is_general_position,
                                    point_seq, project)
@@ -63,7 +63,7 @@ def random_gp_sequence(rng, d, n_max):
 def equivalence_suite():
     """1000 planar and 300 spatial general-position sequences with their
     homogeneity and exact crossing-number verdicts.  The crossing number
-    comes from the pencil sweep on an unchecked path: a checked one would
+    comes from the pencil sweep alone (_swept): max_crossings would
     answer convex input from the same alternation test that decides
     homogeneity, and the equivalence would hold by construction."""
     rng = random.Random(2017)
@@ -73,7 +73,7 @@ def equivalence_suite():
         for _ in range(count):
             seq = random_gp_sequence(rng, d, n_max)
             hom = bool(is_order_type_homogeneous(seq))
-            mc = max_crossings(PolyPath._certified(seq)).max_crossings
+            mc = _swept(seq).max_crossings
             rows.append((seq, hom, mc))
     return rows, time.perf_counter() - started
 
@@ -101,7 +101,7 @@ def _random_crossing_paths(rng, d, count):
         if not is_general_position(seq):
             continue
         path = PolyPath(seq)
-        if max_crossings(PolyPath._certified(seq)).max_crossings <= d + 1:
+        if _swept(seq).max_crossings <= d + 1:
             out.append(path)
     return out
 
@@ -118,8 +118,7 @@ def crossing_path_suite():
     assert len(paths) == 200
     for path in paths:
         d = path.seq.dim
-        assert max_crossings(
-            PolyPath._certified(path.seq)).max_crossings <= d + 1
+        assert _swept(path.seq).max_crossings <= d + 1
     return paths, time.perf_counter() - started
 
 

@@ -3,15 +3,15 @@ alternation certificate, against the pencil sweep they skip.
 
 A sigma-homogeneous vertex sequence is convex: every hyperplane meets
 its path at most d times, and every d-subset's sign sequence is constant
-sigma.  So ``max_crossings`` of a path whose general-position check
-found sign sigma is d, with the sweep's own witness, and ``is_flip`` of a
-sequence whose homogeneous rows alternate is true.  The oracles are the
-sweep itself: ``max_crossings`` on ``PolyPath._certified``, whose
-``_sign`` is 0, and ``sweep_is_flip``, the flip test's pencil loop as it
-ran before the certificate.  Reports and raised errors must agree
-exactly.  ``decompose_curve`` passes the sign of a one-block sample on
-to the oracle in the same way; its reports are compared with runs whose
-oracle always sweeps.
+sigma.  So ``max_crossings`` of a path whose certificate
+``PointSeq._sigma`` is sigma is d, with the sweep's own witness, and
+``is_flip`` of a sequence whose homogeneous rows alternate is true.  The
+oracles are the sweep itself: ``crossing._swept``, the crossing oracle's
+pencil loop, which reads no certificate, and ``sweep_is_flip``, the flip
+test's pencil loop as it ran before the certificate.  Reports and raised
+errors must agree exactly.  ``decompose_curve`` reads the certificate of
+a one-piece sample in the same way; its reports are compared with runs
+whose oracle always sweeps.
 """
 
 import io
@@ -83,62 +83,72 @@ class TestDifferential:
         if not is_general_position(seq):
             return
         path = PolyPath(seq)
-        assert max_crossings(path) == max_crossings(PolyPath._certified(seq))
+        assert max_crossings(path) == crossing._swept(seq)
         assert is_convex(path) == bool(is_order_type_homogeneous(seq))
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("mirror", [1, -1])
     def test_witness_alternates_and_ends_against_sigma(self, d, mirror):
         # Mirroring the last coordinate flips sigma; the witness is the
         # first key of D = (0, ..., d-1), pushed to alternating sides that
-        # end in -sigma.
+        # end in -sigma.  On the line D = (0,) holds no edge, and the
+        # first key is vertex 0 itself.
         pts = [list(p) for p in moment_seq(9, d).points]
         for p in pts:
             p[-1] *= mirror
         path = PolyPath(point_seq(pts))
-        sigma = path._sign
+        sigma = path.seq._sigma
         assert sigma == mirror
         sides = tuple(-sigma * (-1) ** (d - 1 - i) for i in range(d))
         report = max_crossings(path)
         assert report.max_crossings == d
-        assert report.witness == CrossingWitness("perturbed",
-                                                 tuple(range(d)), sides)
-        assert report == max_crossings(PolyPath._certified(path.seq))
+        assert report.witness == (
+            CrossingWitness("direct", (0,)) if d == 1
+            else CrossingWitness("perturbed", tuple(range(d)), sides))
+        assert report == crossing._swept(path.seq)
 
 
 class TestConvexPath:
-    @pytest.mark.parametrize("d,n", [(2, 14), (3, 11), (4, 9)])
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 14), (3, 11), (4, 9)])
     def test_no_pencil_and_one_alternation_run(self, d, n, monkeypatch):
-        # max_crossings reads the sign the general-position check left,
-        # with no determinant at all; is_flip makes exactly the
-        # determinants of one _alternating run.
+        # The certificate is computed once, by the first reader: the
+        # general-position check from R^2 up, max_crossings on the line.
+        # It makes exactly the determinants of one _alternating run over
+        # the full rows, and the other readers make none.
         seq = moment_seq(n, d)
-        path = PolyPath(seq)
         pencils = [count_calls(monkeypatch, owner, "_pencils")
                    for owner in (crossing, ordertype)]
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        runs = count_calls(monkeypatch, exactgeom, "_alternating")
+        path = PolyPath(seq)
         assert max_crossings(path).max_crossings == d
-        assert dets == []
+        assert crossing.decompose(path).pieces == ((0, n - 1),)
+        assert is_convex(path)
         assert is_flip(seq)
-        flip_dets = len(dets)
+        assert [args[0] for args in runs if len(args[0]) == n] == [seq._hom]
+        certificate_dets = len(dets)
         dets.clear()
         assert exactgeom._alternating(seq._hom) == 1
-        assert flip_dets == len(dets) > 0
+        assert certificate_dets == len(dets) > 0
         assert pencils == [[], []]
 
     def test_checked_convex_path_makes_no_homogeneity_scan(self,
                                                            monkeypatch):
-        scans = count_calls(monkeypatch, crossing,
+        # is_convex is the certificate alone: no homogeneity test and no
+        # witness search, on convex paths and on paths that are not, in
+        # every dimension and whether the path was checked or not.
+        scans = count_calls(monkeypatch, ordertype,
                             "is_order_type_homogeneous")
-        for d in (2, 3, 4):
+        witnesses = [count_calls(monkeypatch, owner, "_least_bad")
+                     for owner in (exactgeom, ordertype)]
+        for d in (1, 2, 3, 4):
             assert is_convex(PolyPath(moment_seq(9, d)))
-        assert scans == []
-        # A _sign of 0 decides nothing: an unchecked path always has it,
-        # and so does a checked one in R^1 or once its rows fail to
-        # alternate.  Both still scan.
-        assert is_convex(PolyPath._certified(moment_seq(9, 3)))
-        assert not is_convex(PolyPath(two_arc_seq(9, 3)))
-        assert len(scans) == 2
+            assert is_convex(PolyPath._certified(moment_seq(9, d)))
+        for d in (3, 4):
+            assert not is_convex(PolyPath(two_arc_seq(9, d)))
+            assert not is_convex(PolyPath._certified(two_arc_seq(9, d)))
+        assert not hasattr(crossing, "is_order_type_homogeneous")
+        assert scans == [] and witnesses == [[], []]
 
 
 def moment_poly(d, backward, mirror):
@@ -163,15 +173,14 @@ def curve_report(argv):
 
 def sweeping(monkeypatch):
     """Make decompose_curve's crossing oracle always sweep, as it did
-    before one-block samples passed their sign on."""
-    real = curves.max_crossings
-    monkeypatch.setattr(curves, "max_crossings", lambda path: real(
-        PolyPath._certified(path.seq)))
+    before it read the certificate of one-piece samples."""
+    monkeypatch.setattr(curves, "max_crossings",
+                        lambda path: crossing._swept(path.seq))
 
 
 class TestCurveCertificate:
     """decompose_curve's certified crossing number on one-piece samples
-    comes from the sign of greedy's one block, against the sweep."""
+    comes from the sample's certificate, against the sweep."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     @pytest.mark.parametrize("backward", [False, True])
@@ -199,8 +208,9 @@ class TestCurveCertificate:
         for seed in range(3):
             dec = curves.decompose_curve(curve, "1/8", seed,
                                          certify_budget=100)
-            swept = max_crossings(dec.sample.path)
-            assert dec.sample.path._sign == 0
+            seq = dec.sample.path.seq
+            swept = crossing._swept(seq)
+            assert seq._sigma == dec.decomposition.partition.signs[0] != 0
             assert dec.pieces == 1
             assert dec.certified_max_crossings == swept.max_crossings == d
 

@@ -646,8 +646,8 @@ class TestQuotientCounters:
 
     @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])
     def test_batch_hashes_each_size_once(self, d, n, counted):
-        report = is_general_position(point_seq(random_points(n, d)))
-        assert report and report.sign == 0
+        seq = point_seq(random_points(n, d))
+        assert is_general_position(seq) and seq._sigma == 0
         self._check(counted, d, n)
 
     @pytest.mark.parametrize("d,n", [(3, 40), (4, 18)])

@@ -137,7 +137,7 @@ class TestDifferential:
     @given(st.one_of(curve_paths(), wide_paths()))
     @settings(max_examples=200, deadline=None)
     def test_homogeneous_paths_decompose_into_one_block(self, case):
-        # PolyPath keeps the sign that certified general position, and
+        # PolyPath's check leaves the certificate seq._sigma, and
         # decompose then skips greedy; it must close the same block.
         d, pts = case
         seq = point_seq(pts, dim=d)
@@ -153,14 +153,14 @@ class TestCost:
     def test_two_cofactor_vectors_per_pencil(self, d, n, monkeypatch):
         # The name is the mechanism's before the pencils moved onto the
         # quotient kernel: now no cofactor vector, and one quotient per
-        # node of the prefix tree of the (d-1)-subsets F.  A checked
-        # moment path is answered from its alternation certificate, so
-        # the sweep runs on an unchecked one, whose _sign is 0.
-        path = PolyPath._certified(random_moment_seq(n, d))
+        # node of the prefix tree of the (d-1)-subsets F.  max_crossings
+        # answers moment paths from their alternation certificate, so
+        # this counts the sweep alone, _swept.
+        seq = random_moment_seq(n, d)
         cofactors = [count_calls(monkeypatch, owner, "_cofactors")
                      for owner in (exactgeom, ordertype, crossing)]
         quotients = count_calls(monkeypatch, exactgeom, "_quotient")
-        assert max_crossings(path).max_crossings == d
+        assert crossing._swept(seq).max_crossings == d
         assert cofactors == [[], [], []]
         assert len(quotients) == pencil_quotients(n, d)
 

@@ -251,8 +251,8 @@ class TestCounters:
         seq = moment_seq(n, 3)
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
         cofactors = count_calls(monkeypatch, exactgeom, "_cofactors")
-        path = PolyPath(seq)
-        assert path._sign == 1
+        PolyPath(seq)
+        assert vars(seq)["_sigma"] == 1
         assert cofactors == []
         assert len(dets) <= 3 * math.comb(n, 2)
 

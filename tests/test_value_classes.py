@@ -1,14 +1,15 @@
 """The package's 18 immutable value classes, pinned field by field.
 
 For each class: its constructor's parameters and defaults, equality
-(same class and equal fields, with ``GeneralPositionReport.sign`` and
-``PolyPath._sign`` left out), the hash of the compared fields as a
-tuple (``CurveSpec`` holds a dict and so has none), the exact ``repr``
-text, ``__bool__`` where a report has one, that assigning or deleting
-any attribute raises ``AttributeError``, and that copy and pickle keep
-every attribute.  The repr texts are
-those the classes printed when they were frozen dataclasses; demo 02
-prints a ``CrossingWitness``.
+(same class and equal fields), the hash of the fields as a tuple
+(``CurveSpec`` holds a dict and so has none), the exact ``repr`` text,
+``__bool__`` where a report has one, that assigning or deleting any
+attribute raises ``AttributeError``, and that copy and pickle keep every
+attribute.  The convexity certificate ``PointSeq._sigma`` is cached
+beside the fields and left out of equality, hash and repr.  The repr
+texts are those the classes printed when they were frozen dataclasses,
+less the removed ``GeneralPositionReport.sign``; demo 02 prints a
+``CrossingWitness``.
 """
 
 import copy
@@ -19,11 +20,12 @@ from functools import cached_property
 
 import pytest
 
-from convexsplit import crossing
+from convexsplit import crossing, exactgeom
 from convexsplit.crossing import (ConvexDecomposition, CrossingReport,
                                   CrossingWitness, PolyPath)
 from convexsplit.curves import CurveDecomposition, CurveSpec, EpsSample
-from convexsplit.exactgeom import GeneralPositionReport, Hyperplane, PointSeq
+from convexsplit.exactgeom import (GeneralPositionReport, Hyperplane, PointSeq,
+                                   is_general_position)
 from convexsplit.kseq import AbstractFlipReport, GreedyPartition
 from convexsplit.ordertype import FlipReport, HomogeneityReport, SignSeq
 from convexsplit.ramsey import (ExtractionStage, ExtractionTrace,
@@ -72,9 +74,9 @@ CASES = {
         "Hyperplane(normal=(Fraction(1, 1), Fraction(-2, 1)), "
         "offset=Fraction(1, 2))"),
     GeneralPositionReport: (
-        lambda: GeneralPositionReport(True, sign=-1),
-        ("ok", "witness", "sign"), {"witness": None, "sign": 0},
-        "GeneralPositionReport(ok=True, witness=None, sign=-1)"),
+        lambda: GeneralPositionReport(False, (0, 1)),
+        ("ok", "witness"), {"witness": None},
+        "GeneralPositionReport(ok=False, witness=(0, 1))"),
     PolyPath: (
         path,
         ("seq",), {},
@@ -170,12 +172,7 @@ CASES = {
 }
 
 CLASSES = list(CASES)
-UNCOMPARED = {GeneralPositionReport: "sign"}
 UNHASHABLE = {CurveSpec}
-
-
-def compared(cls):
-    return tuple(f for f in CASES[cls][1] if f != UNCOMPARED.get(cls))
 
 
 def test_all_eighteen_classes_are_pinned():
@@ -207,7 +204,7 @@ def test_equal_fields_make_equal_values(cls):
     assert a is not b
     assert a == b and not a != b
     assert a.__eq__(object()) is NotImplemented
-    assert a != tuple(getattr(a, f) for f in compared(cls))
+    assert a != tuple(getattr(a, f) for f in CASES[cls][1])
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
@@ -217,7 +214,7 @@ def test_hash_is_the_compared_fields_as_a_tuple(cls):
         with pytest.raises(TypeError):
             hash(value)
     else:
-        key = tuple(getattr(value, f) for f in compared(cls))
+        key = tuple(getattr(value, f) for f in CASES[cls][1])
         assert hash(value) == hash(key) == hash(CASES[cls][0]())
 
 
@@ -242,10 +239,22 @@ def test_copy_and_pickle_keep_every_attribute(cls):
         assert vars(twin).keys() == vars(value).keys()
 
 
-def test_copied_path_keeps_its_sign():
-    certified = PolyPath._certified(seq(), -1)
-    assert copy.copy(certified)._sign == -1
-    assert pickle.loads(pickle.dumps(certified))._sign == -1
+def reversed_seq():
+    """seq() in the other order: its certificate is -1."""
+    return PointSeq(2, seq().points[::-1], (2, 1, 0))
+
+
+def test_copied_path_keeps_its_sign(monkeypatch):
+    checked = PolyPath(reversed_seq())
+    assert vars(checked.seq)["_sigma"] == -1
+
+    def refuse(_):
+        raise AssertionError("certificate computed again")
+
+    monkeypatch.setattr(exactgeom, "_alternating", refuse)
+    for twin in (copy.copy(checked), copy.deepcopy(checked),
+                 pickle.loads(pickle.dumps(checked))):
+        assert twin.seq._sigma == -1
 
 
 def test_a_changed_field_breaks_equality():
@@ -256,19 +265,29 @@ def test_a_changed_field_breaks_equality():
 
 
 def test_general_position_sign_decides_nothing():
-    plus = GeneralPositionReport(True, sign=1)
-    minus = GeneralPositionReport(True, sign=-1)
-    assert plus == minus and hash(plus) == hash(minus)
-    assert plus != GeneralPositionReport(False, (0, 1))
-    assert plus.sign == 1 and minus.sign == -1
+    # The report carries no sign: sequences of opposite certificates get
+    # equal reports, and a cached certificate, even a wrong one, changes
+    # neither a sequence's equality nor its hash.
+    plus, minus = seq(), reversed_seq()
+    assert GeneralPositionReport._fields == ("ok", "witness")
+    assert is_general_position(plus) == is_general_position(minus) == \
+        GeneralPositionReport(True)
+    assert plus._sigma == 1 and minus._sigma == -1
+    fresh, forged = seq(), seq()
+    forged.__dict__["_sigma"] = -1
+    assert plus == fresh == forged
+    assert hash(plus) == hash(fresh) == hash(forged)
+    assert "_sigma" not in vars(fresh)
 
 
 def test_path_sign_decides_nothing_and_is_not_shown():
     checked = path()
     certified = PolyPath._certified(seq())
-    assert checked._sign == 1 and certified._sign == 0
+    assert vars(checked.seq)["_sigma"] == 1
+    assert "_sigma" not in vars(certified.seq)
     assert checked == certified and hash(checked) == hash(certified)
-    assert "_sign" not in repr(checked)
+    assert repr(checked) == repr(certified) == CASES[PolyPath][3]
+    assert "_sigma" not in repr(checked)
 
 
 def test_certified_path_skips_the_general_position_check(monkeypatch):
@@ -276,11 +295,13 @@ def test_certified_path_skips_the_general_position_check(monkeypatch):
         raise AssertionError("general position re-checked")
 
     monkeypatch.setattr(crossing, "is_general_position", refuse)
+    monkeypatch.setattr(exactgeom, "_alternating", refuse)
+    assert list(inspect.signature(PolyPath._certified).parameters) == \
+        ["seq"]
     dependent = PointSeq(1, ((F(0),), (F(0),)), (0, 1))
     plain = PolyPath._certified(dependent)
-    signed = PolyPath._certified(seq(), -1)
-    assert plain.seq is dependent and plain._sign == 0
-    assert signed._sign == -1
+    assert plain.seq is dependent and vars(plain) == {"seq": dependent}
+    assert "_sigma" not in vars(dependent)
     with pytest.raises(AssertionError):
         PolyPath(seq())
 
@@ -295,7 +316,7 @@ def test_path_constructor_runs_post_init(monkeypatch):
 
     monkeypatch.setattr(PolyPath, "__post_init__", counted)
     built = path()
-    assert calls == [built.seq] and built._sign == 1
+    assert calls == [built.seq] and vars(built.seq)["_sigma"] == 1
 
 
 def test_reports_are_truthy_by_their_verdict():
