@@ -242,20 +242,21 @@ def _curve_config(args, curve: CurveSpec, eps: Fraction) -> dict:
 
 def render_svg(seq: PointSeq, pieces=None) -> str:
     """Path plot for d=2: pieces in alternating stroke styles, piece
-    boundary vertices emphasized."""
+    boundary vertices emphasized, coordinates scaled exactly."""
     if seq.dim != 2:
         raise ParseFailure("SVG output requires dim 2")
     width, height, margin = 640.0, 480.0, 24.0
-    xs = [float(p[0]) for p in seq.points]
-    ys = [float(p[1]) for p in seq.points]
-    spanx = (max(xs) - min(xs)) or 1.0
-    spany = (max(ys) - min(ys)) or 1.0
+    xs = [p[0] for p in seq.points]
+    ys = [p[1] for p in seq.points]
+    x0, y0 = min(xs), min(ys)
+    spanx, spany = (max(xs) - x0) or 1, (max(ys) - y0) or 1
 
     def sx(x):
-        return margin + (x - min(xs)) / spanx * (width - 2 * margin)
+        return margin + float((x - x0) / spanx) * (width - 2 * margin)
 
     def sy(y):
-        return height - margin - (y - min(ys)) / spany * (height - 2 * margin)
+        return (height - margin
+                - float((y - y0) / spany) * (height - 2 * margin))
 
     def fmt(v):
         return f"{v:.2f}"

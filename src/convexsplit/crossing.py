@@ -208,8 +208,9 @@ def max_crossings(path: PolyPath) -> CrossingReport:
     det[D; y] for a vertex y, 0 on D and sigma after it, as (0, ..., d-1,
     y) is increasing.  From R^2 up D holds an edge, so h(D) is no key, and
     the first key counting d is the perturbation with sides alternating
-    and ending in -sigma; on the line h(D) is vertex 0, counting 1.  The cost is at most 2^d side patterns of length n, after
-    the certificate's O(n^(d-1)) determinants, which PolyPath's check has
+    and ending in -sigma; on the line h(D) is vertex 0, counting 1.  The
+    cost is at most 2^d side patterns of length n, after the
+    certificate's O(n^(d-1)) determinants, which PolyPath's check has
     paid from R^2 up.  Other input pays them, and then _swept runs.
 
     A path from PolyPath is in general position.  On a dependent
@@ -301,14 +302,15 @@ def decompose(path: PolyPath) -> ConvexDecomposition:
 
     Piece count is minimal among contiguous one-point-overlap subdivisions
     because convexity of a contiguous run is hereditary.  A path whose
-    certificate seq._sigma is sigma != 0 is the one block greedy would
-    close, with sign sigma; other paths pay that alternation prefix
-    before greedy.
+    computed certificate seq._sigma is sigma != 0 is the one block greedy
+    would close, with sign sigma.  Otherwise greedy runs, and its blocks
+    settle the certificate: the sign of one block of n > d vertices, else 0.
     """
-    sigma = path.seq._sigma
+    seq = path.seq
+    sigma = vars(seq).get("_sigma")
     if sigma:
-        last = len(path.seq) - 1
-        gp = kseq.GreedyPartition(((0, last),), (sigma,), (None,))
-        return ConvexDecomposition(gp.blocks, gp)
-    gp = kseq.greedy_partition(kseq.from_points(path.seq))
+        gp = kseq.GreedyPartition(((0, len(seq) - 1),), (sigma,), (None,))
+    else:
+        gp = kseq.greedy_partition(kseq.from_points(seq))
+        vars(seq)["_sigma"] = (gp.signs[0] or 0) if len(gp.blocks) == 1 else 0
     return ConvexDecomposition(gp.blocks, gp)

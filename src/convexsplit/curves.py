@@ -256,9 +256,9 @@ def decompose_curve(curve: CurveSpec, eps, seed: int = 0, *,
     The first and last parameter intervals are extended to the domain
     endpoints so the intervals tile the domain.  When the sampled path has
     at most certify_budget vertices the exact oracle certifies its
-    crossing number.  decompose computes the sample's certificate
-    seq._sigma, and the oracle reads it again: a convex sample is one
-    piece and answers without a pencil sweep; other samples sweep.
+    crossing number.  decompose settles the sample's certificate
+    seq._sigma from greedy's blocks, and the oracle reads it: a convex
+    sample is one piece and answers without a pencil sweep; others sweep.
     """
     sample = epsilon_sample(curve, eps, seed)
     dec = decompose(sample.path)

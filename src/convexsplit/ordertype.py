@@ -92,8 +92,9 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     """Common orientation sign of all (d+1)-tuples, if there is one.
 
     In R^1 and R^2 homogeneous input is settled by the certificate
-    seq._sigma, from 2n - 3 and at most 3n determinants, or none.
-    Where that fails, and from R^3 up at once, the first tuple's sign is
+    seq._sigma, from 2n - 3 and at most 3n determinants, or none; from
+    R^3 up, by a certificate already computed, and none is computed.
+    Where that fails, and from R^3 up otherwise, the first tuple's sign is
     the candidate and exactgeom._least_bad names the least tuple whose
     sign differs from it, the witness, from O(n^max(2, d-1))
     determinants; 3 * C(n, 2) at most in R^3.  From R^3 up the kernel's
@@ -106,8 +107,9 @@ def is_order_type_homogeneous(seq: PointSeq) -> HomogeneityReport:
     if n < d + 1:
         raise ValueError(f"need at least {d + 1} points, got {n}")
     hom = seq._hom
-    if d < 3 and seq._sigma:
-        return HomogeneityReport(True, sign=seq._sigma)
+    certificate = seq._sigma if d < 3 else vars(seq).get("_sigma")
+    if certificate:
+        return HomogeneityReport(True, sign=certificate)
     sigma = exactgeom._det_sign(hom[:d + 1])
     # A zero first tuple is the least witness for either sign.
     wit = _least_bad(hom, sigma or 1)

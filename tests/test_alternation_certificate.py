@@ -132,6 +132,44 @@ class TestConvexPath:
         assert certificate_dets == len(dets) > 0
         assert pencils == [[], []]
 
+    @pytest.mark.parametrize("d,n", [(1, 16), (2, 14), (3, 11), (4, 9)])
+    def test_decompose_settles_the_certificate(self, d, n, monkeypatch):
+        # On a path whose certificate is not yet computed, decompose runs
+        # greedy alone and keeps its answer as the certificate, which the
+        # crossing oracle and is_convex then read with no determinant.
+        runs = count_calls(monkeypatch, exactgeom, "_alternating")
+        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        pencils = count_calls(monkeypatch, crossing, "_pencils")
+        convex, bent = moment_seq(n, d), two_arc_seq(n, d)
+        assert "_sigma" not in vars(convex) and "_sigma" not in vars(bent)
+        dec = crossing.decompose(PolyPath._certified(convex))
+        assert dec.pieces == ((0, n - 1),)
+        assert vars(convex)["_sigma"] == dec.partition.signs[0] == 1
+        dec = crossing.decompose(PolyPath._certified(bent))
+        assert dec.count > 1 and vars(bent)["_sigma"] == 0
+        assert [args for args in runs if len(args[0]) == n] == []
+        dets.clear()
+        assert max_crossings(PolyPath._certified(convex)).max_crossings == d
+        assert is_convex(PolyPath._certified(convex))
+        assert not is_convex(PolyPath._certified(bent))
+        assert dets == [] and pencils == []
+        assert exactgeom._alternating(convex._hom) == 1
+        assert exactgeom._alternating(bent._hom) == 0
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_homogeneity_reads_a_computed_certificate(self, d,
+                                                      monkeypatch):
+        # From R^3 up the homogeneity test computes no certificate, but
+        # one that the general-position check computed answers it.
+        witnesses = count_calls(monkeypatch, ordertype, "_least_bad")
+        seq = moment_seq(10, d)
+        assert is_general_position(seq) and vars(seq)["_sigma"] == 1
+        assert is_order_type_homogeneous(seq).sign == 1
+        assert witnesses == []
+        fresh = moment_seq(10, d)
+        assert is_order_type_homogeneous(fresh).sign == 1
+        assert len(witnesses) == 1 and "_sigma" not in vars(fresh)
+
     def test_checked_convex_path_makes_no_homogeneity_scan(self,
                                                            monkeypatch):
         # is_convex is the certificate alone: no homogeneity test and no

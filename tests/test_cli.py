@@ -404,6 +404,15 @@ class TestDecompose:
         assert text.count("<polyline") == 2
         assert text.count("<circle") == 4
 
+    def test_svg_plots_coordinates_beyond_float_range(self, run, tmp_path):
+        # 1e400 is an exact integer, larger than any float.
+        path = write(tmp_path, "h.csv", "-9,-9\n-9,-8\n-8,1e400\n")
+        svg = tmp_path / "h.svg"
+        code, _ = run(["decompose", "--input", path, "--out-svg", str(svg)])
+        assert code == 0
+        assert '<polyline points="24.00,456.00 24.00,456.00 616.00,24.00"' \
+            in svg.read_text()
+
     def test_svg_needs_dim_2(self, run, tmp_path):
         path = write(tmp_path, "m.csv", MOMENT3_CSV)
         svg = tmp_path / "m.svg"
