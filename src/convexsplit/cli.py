@@ -1,8 +1,12 @@
 """Command-line interface: deterministic JSON reports and 2-D SVG plots.
 
-Each subcommand takes only the flags it reads; any other flag is a usage
-error.  main builds the Reporter before any input is read, so an error
-report also carries its command's config and times it from dispatch.
+Each subcommand takes only the flags it reads, as COMMANDS lists them;
+any other flag is a usage error.  A well-formed argv, the command and then
+``--flag VALUE`` pairs, is parsed from that table alone; help, usage
+errors and every other argv go to an argparse parser built from the same
+table, so a successful call never imports argparse.  main builds the
+Reporter before any input is read, so an error report also carries its
+command's config and times it from dispatch.
 
 Exit codes: 0 success, 2 parse/usage error, 3 precondition violation
 (witness included in the report), 4 oracle budget exceeded.  Reports are
@@ -11,13 +15,13 @@ byte-identical for identical config and seed, except for the timing field.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import itertools
 import json
 import sys
 import time
+import types
 from fractions import Fraction
 
 from .crossing import PolyPath, decompose, max_crossings, witness_crossings
@@ -114,9 +118,9 @@ def _load_json(text: str):
         raise ParseFailure(f"invalid JSON input: {exc}") from exc
 
 
-def _load_table(text: str):
+def _load_table(obj):
     try:
-        return from_json_dict(_load_json(text))
+        return from_json_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseFailure(f"invalid sign-table JSON: {exc}") from exc
 
@@ -138,28 +142,36 @@ def _parse_json_row(row) -> list[Fraction]:
 def parse_points_text(text: str, expected_dim: int | None) -> PointSeq:
     """Points from CSV (one row per point) or JSON {dim, points}."""
     stripped = text.lstrip()
-    declared_dim = None
     if stripped.startswith("{") or stripped.startswith("["):
-        obj = _load_json(text)
-        if isinstance(obj, dict):
-            if "points" not in obj:
-                raise ParseFailure('JSON point input needs a "points" key')
-            rows = obj["points"]
-            declared_dim = obj.get("dim")
-        else:
-            rows = obj
-        if not isinstance(rows, list) or not rows:
-            raise ParseFailure("points must be a non-empty list of rows")
-        parsed = [_parse_json_row(row) for row in rows]
+        return parse_points_json(_load_json(text), expected_dim)
+    parsed = []
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parsed.append([_parse_rational(c) for c in line.split(",")])
+    if not parsed:
+        raise ParseFailure("no points found in input")
+    return _point_seq(parsed, None, expected_dim)
+
+
+def parse_points_json(obj, expected_dim: int | None) -> PointSeq:
+    """Points from decoded JSON: {dim, points} or a bare list of rows."""
+    declared_dim = None
+    if isinstance(obj, dict):
+        if "points" not in obj:
+            raise ParseFailure('JSON point input needs a "points" key')
+        rows = obj["points"]
+        declared_dim = obj.get("dim")
     else:
-        parsed = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parsed.append([_parse_rational(c) for c in line.split(",")])
-        if not parsed:
-            raise ParseFailure("no points found in input")
+        rows = obj
+    if not isinstance(rows, list) or not rows:
+        raise ParseFailure("points must be a non-empty list of rows")
+    return _point_seq([_parse_json_row(row) for row in rows], declared_dim,
+                      expected_dim)
+
+
+def _point_seq(parsed: list, declared_dim, expected_dim) -> PointSeq:
     widths = {len(row) for row in parsed}
     if len(widths) != 1:
         raise ParseFailure(f"inconsistent row widths: {sorted(widths)}")
@@ -346,11 +358,15 @@ def cmd_homog(args, rep: Reporter) -> int:
 
 def cmd_flip(args, rep: Reporter) -> int:
     text = _read_source(args.input)
-    stripped = text.lstrip()
-    if stripped.startswith("{") and '"signs"' in stripped:
+    # The substring test only spares CSV and plain point files a decode
+    # here; a sign table is a JSON object with a "signs" key.
+    obj = None
+    if text.lstrip().startswith("{") and '"signs"' in text:
+        obj = _load_json(text)
+    if isinstance(obj, dict) and "signs" in obj:
         if args.dim is not None:
             raise ParseFailure("--dim does not apply to a sign table")
-        s = _load_table(text)
+        s = _load_table(obj)
         rep.config = {"input": args.input, "k": s.k, "mode": "table"}
         report = verify_flip(s)
         result = {"n": len(s), "k": s.k, "flip": bool(report)}
@@ -358,7 +374,8 @@ def cmd_flip(args, rep: Reporter) -> int:
             result["witness"] = {"subset": list(report.witness),
                                  "signs": list(report.witness_signs)}
         return rep.emit(result)
-    seq = parse_points_text(text, args.dim)
+    seq = (parse_points_text(text, args.dim) if obj is None
+           else parse_points_json(obj, args.dim))
     rep.config = {"input": args.input, "dim": seq.dim, "mode": "points"}
     report = is_flip(seq)
     result = {"n": len(seq), "k": seq.dim, "flip": bool(report)}
@@ -444,7 +461,7 @@ def cmd_decompose_curve(args, rep: Reporter) -> int:
 
 
 def cmd_reduce(args, rep: Reporter) -> int:
-    s = _load_table(_read_source(args.input))
+    s = _load_table(_load_json(_read_source(args.input)))
     rep.config = {"input": args.input, "k": s.k}
     before = greedy_partition(s)
     reduced = reduce(s)
@@ -541,96 +558,154 @@ def cmd_ramsey(args, rep: Reporter) -> int:
     return rep.emit(result)
 
 
+_POINTS = (("--input", {"required": True,
+                        "help": "input file, or - for stdin"}),
+           ("--dim", {"type": int,
+                      "help": "expected dimension (validated against input)"}))
+_SVG = (("--out-svg", {"help": "write an SVG plot (d=2 only)"}),)
+_CURVE = (
+    ("--curve", {"group": True,
+                 "choices": ("moment", "quintic", "dented_arc", "poly"),
+                 "help": "builtin curve name"}),
+    ("--input", {"group": True,
+                 "help": 'curve JSON {"curve": name, ...} file, '
+                         "or - for stdin"}),
+    ("--dim", {"type": int, "help": "moment curve dimension"}),
+    ("--dents", {"type": int, "help": "dented_arc dent count"}),
+    ("--depth", {"help": "dented_arc dent depth, rational"}),
+    ("--coeffs", {"help": "poly coefficients, JSON rows of rationals"}),
+    ("--domain", {"help": 'poly domain, JSON pair like ["-1","1"]'}),
+    ("--eps", {"required": True,
+               "help": "sampling resolution, positive rational"}),
+    ("--seed", {"type": int, "default": 0,
+                "help": "sampling seed (default 0)"})) + _SVG
+_JSON = (("--out-json", {"help": "also write the report here"}),)
+
+
+def _budget(bounded: str) -> tuple:
+    return (("--oracle-budget", {
+        "type": int, "default": DEFAULT_ORACLE_BUDGET,
+        "help": f"max n for {bounded} (default {DEFAULT_ORACLE_BUDGET})"}),)
+
+
+# Command -> (function, help, flags).  Each flag is its option string and
+# the argparse keywords it takes; "group" puts it in the command's required
+# exclusive group.  The flags are in the order help lists them.
+COMMANDS = {
+    "verify-gp": (cmd_verify_gp, "check general position; exit 3 with "
+                  "witness if violated", _POINTS + _JSON),
+    "homog": (cmd_homog, "order-type homogeneity of a point sequence",
+              _POINTS + _JSON),
+    "flip": (cmd_flip, "flip property of a point sequence or an abstract "
+             "sign table", _POINTS + _JSON),
+    "crossings": (cmd_crossings, "exact maximum crossing number with "
+                  "witness (budgeted)",
+                  _POINTS + _budget("the exact crossing oracle") + _JSON),
+    "decompose": (cmd_decompose, "greedy decomposition of a path into "
+                  "convex pieces", _POINTS + _SVG + _JSON),
+    "sample": (cmd_sample, "epsilon-sample a curve into a "
+               "general-position path", _CURVE + _JSON),
+    "decompose-curve": (
+        cmd_decompose_curve, "sample a curve and decompose it into convex "
+        "arcs", _CURVE + _budget("certifying the sampled path's crossing "
+                                 "number; larger paths go uncertified")
+        + _JSON),
+    "reduce": (cmd_reduce, "reduce an abstract sign table preserving its "
+               "block count",
+               (("--input", {"required": True,
+                             "help": "sign-table JSON file, or - for "
+                                     "stdin"}),) + _JSON),
+    "bounds": (cmd_bounds, "exact c(k) block-count bounds plus known "
+               "sharper constants",
+               (("--k", {"required": True,
+                         "help": 'bound index or range, e.g. 3 or "1..4"'}),)
+               + _JSON),
+    "ramsey": (cmd_ramsey, "homogeneous subsequence search plus projection "
+               "extraction", _POINTS + _budget(
+                   "the homogeneous-subsequence search on non-homogeneous "
+                   "input") + _JSON),
+}
+
+
+def _parse_well_formed(argv: list):
+    """The namespace argparse gives a well-formed argv: COMMAND and then
+    ``--flag VALUE`` pairs, each flag one of the command's own option
+    strings at most once, no VALUE starting with "-" but "-" itself, typed
+    values that convert, choices kept, and the required flags given.  None
+    for any other argv, which argparse then parses: this step can decline
+    an argv, never answer it differently."""
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    command = argv[0]
+    func, _, flags = COMMANDS[command]
+    options = dict(flags)
+    given = {}
+    for option, value in zip(argv[1::2], argv[2::2]):
+        kw = options.get(option)
+        if kw is None or option in given or (value.startswith("-")
+                                              and value != "-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except (TypeError, ValueError):
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        given[option] = value
+    if any(kw.get("required") and option not in given
+           for option, kw in flags):
+        return None
+    group = [option for option, kw in flags if kw.get("group")]
+    if group and sum(option in given for option in group) != 1:
+        return None
+    args = types.SimpleNamespace(command=command, func=func)
+    for option, kw in flags:
+        setattr(args, option[2:].replace("-", "_"),
+                given.get(option, kw.get("default")))
+    return args
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args leaves it
-    unchanged, so main reuses it on every call.  Each subcommand declares
-    exactly the flags its command reads."""
+def _argparse_parser():
+    """argparse's parser for COMMANDS: the single authority on help, usage
+    errors and exit 2, and the only code that imports argparse."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="convexsplit",
         description="Exact convex decomposition of polygonal paths and "
                     "sampled curves, crossing-number oracles, and "
                     "sign-sequence tools.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
+    for name, (func, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        return p
-
-    def points(name, func, help_text):
-        p = add(name, func, help_text)
-        p.add_argument("--input", required=True,
-                       help="input file, or - for stdin")
-        p.add_argument("--dim", type=int,
-                       help="expected dimension (validated against input)")
-        return p
-
-    def budget(p, bounded):
-        p.add_argument("--oracle-budget", type=int,
-                       default=DEFAULT_ORACLE_BUDGET,
-                       help=f"max n for {bounded} "
-                            f"(default {DEFAULT_ORACLE_BUDGET})")
-
-    def svg(p):
-        p.add_argument("--out-svg", help="write an SVG plot (d=2 only)")
-
-    def curve(name, func, help_text):
-        p = add(name, func, help_text)
-        source = p.add_mutually_exclusive_group(required=True)
-        source.add_argument("--curve",
-                            choices=["moment", "quintic", "dented_arc",
-                                     "poly"],
-                            help="builtin curve name")
-        source.add_argument("--input",
-                            help='curve JSON {"curve": name, ...} file, '
-                                 "or - for stdin")
-        p.add_argument("--dim", type=int, help="moment curve dimension")
-        p.add_argument("--dents", type=int, help="dented_arc dent count")
-        p.add_argument("--depth", help="dented_arc dent depth, rational")
-        p.add_argument("--coeffs",
-                       help="poly coefficients, JSON rows of rationals")
-        p.add_argument("--domain",
-                       help='poly domain, JSON pair like ["-1","1"]')
-        p.add_argument("--eps", required=True,
-                       help="sampling resolution, positive rational")
-        p.add_argument("--seed", type=int, default=0,
-                       help="sampling seed (default 0)")
-        svg(p)
-        return p
-
-    points("verify-gp", cmd_verify_gp,
-           "check general position; exit 3 with witness if violated")
-    points("homog", cmd_homog,
-           "order-type homogeneity of a point sequence")
-    points("flip", cmd_flip,
-           "flip property of a point sequence or an abstract sign table")
-    budget(points("crossings", cmd_crossings,
-                  "exact maximum crossing number with witness (budgeted)"),
-           "the exact crossing oracle")
-    svg(points("decompose", cmd_decompose,
-               "greedy decomposition of a path into convex pieces"))
-    curve("sample", cmd_sample,
-          "epsilon-sample a curve into a general-position path")
-    budget(curve("decompose-curve", cmd_decompose_curve,
-                 "sample a curve and decompose it into convex arcs"),
-           "certifying the sampled path's crossing number; larger paths "
-           "go uncertified")
-    add("reduce", cmd_reduce,
-        "reduce an abstract sign table preserving its block count"
-        ).add_argument("--input", required=True,
-                       help="sign-table JSON file, or - for stdin")
-    add("bounds", cmd_bounds,
-        "exact c(k) block-count bounds plus known sharper constants"
-        ).add_argument("--k", required=True,
-                       help='bound index or range, e.g. 3 or "1..4"')
-    budget(points("ramsey", cmd_ramsey,
-                  "homogeneous subsequence search plus projection "
-                  "extraction"),
-           "the homogeneous-subsequence search on non-homogeneous input")
-    for p in sub.choices.values():
-        p.add_argument("--out-json", help="also write the report here")
+        group = None
+        for option, kw in flags:
+            kw = dict(kw)
+            if kw.pop("group", False):
+                group = group or p.add_mutually_exclusive_group(
+                    required=True)
+                group.add_argument(option, **kw)
+            else:
+                p.add_argument(option, **kw)
     return parser
+
+
+class _Parser:
+    def parse_args(self, argv=None):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _parse_well_formed(argv)
+        return _argparse_parser().parse_args(argv) if args is None else args
+
+
+@functools.cache
+def build_parser() -> _Parser:
+    """The CLI's parser, one per process.  Its parse_args answers a
+    well-formed argv from COMMANDS without argparse, and hands any other
+    argv (help, abbreviations, ``--flag=value``, usage errors) to
+    _argparse_parser."""
+    return _Parser()
 
 
 def _error(exc: Exception) -> tuple[dict, int]:

@@ -217,13 +217,17 @@ class TestParsing:
             "reduce": {"--input", "--out-json"},
             "bounds": {"--k", "--out-json"},
         }
-        commands = next(a for a in build_parser()._actions
+        commands = next(a for a in cli._argparse_parser()._actions
                         if isinstance(a, argparse._SubParsersAction))
         flags = {name: {opt for a in p._actions for opt in a.option_strings
                         if opt not in ("-h", "--help")}
                  for name, p in commands.choices.items()}
         assert flags == expected
         assert sum(map(len, flags.values())) == 48
+        table = {name: [opt for opt, _ in flags]
+                 for name, (_, _, flags) in cli.COMMANDS.items()}
+        assert {name: set(opts) for name, opts in table.items()} == expected
+        assert sum(map(len, table.values())) == 48
 
     def test_undecodable_input_is_a_parse_error(self, run, tmp_path):
         path = tmp_path / "p.csv"
@@ -343,6 +347,22 @@ class TestFlip:
         path = write(tmp_path, "t.json", '{"signs": []}')
         code, _ = run(["flip", "--input", path], expect_report=False)
         assert code == 2
+
+    def test_points_that_mention_signs_are_points(self, run, tmp_path,
+                                                  monkeypatch):
+        # A "signs" string is not a "signs" key; the file is decoded once.
+        path = write(tmp_path, "p.json", '{"dim": 2, "points": '
+                     '[[0,0],[1,1],[2,5]], "note": "signs"}')
+        decoded = []
+        load = cli._load_json
+        monkeypatch.setattr(cli, "_load_json",
+                            lambda text: decoded.append(text) or load(text))
+        code, report = run(["flip", "--input", path])
+        assert code == 0
+        assert report["config"] == {"dim": 2, "input": path,
+                                    "mode": "points"}
+        assert report["result"] == {"n": 3, "k": 2, "flip": True}
+        assert len(decoded) == 1
 
     @pytest.mark.parametrize("dim", ["1", "7"])
     def test_table_mode_takes_no_dim(self, dim, capsys, tmp_path):

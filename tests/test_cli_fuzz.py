@@ -8,6 +8,10 @@ well-formed values and the kind of input it reads, so that they get past
 parsing.  Every run exits 0, 2, 3 or 4; a report (exit 0, 3 or 4)
 validates against docs/report-schema.json, and a usage error (exit 2)
 prints nothing on stdout.
+
+The same argv, with now and then a token from outside the fast parse's
+grammar, also checks ``build_parser()``: whatever its fast step accepts
+must be what argparse parses, and the rest is argparse's answer.
 """
 
 import io
@@ -18,11 +22,13 @@ import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from convexsplit.cli import main
+from convexsplit.cli import (_argparse_parser, _parse_well_formed,
+                             build_parser, main)
 
 SCHEMA = pathlib.Path(__file__).parent.parent / "docs" / "report-schema.json"
 VALIDATOR = Draft202012Validator(json.loads(SCHEMA.read_text("utf-8")))
@@ -196,3 +202,87 @@ def test_cli_exits_cleanly(case):
         assert out == ""
     else:
         VALIDATOR.validate(json.loads(out))
+
+
+# Tokens off the fast parse's grammar: help, an abbreviation, an inline
+# value, a negative number, the end of options, an unknown flag.
+OFF_GRAMMAR = ["-h", "--help", "--inp", "--input=x", "--dim=2", "-3", "--",
+               "--bogus", "x"]
+# Values that start with "-": stdin, which the fast parse takes, and
+# tokens that argparse reads as a flag or as a negative number.
+DASHED = ["-", "-x", "-1/3", "-3", "--input", "-h"]
+
+
+@st.composite
+def argvs(draw):
+    """The argv of cases(), with its placeholders filled in, and at times
+    a value that starts with "-", a token off the grammar or a repeated
+    flag."""
+    argv, _ = draw(cases())
+    names = {"input": "in.csv", "tmp": "out", "missing": "none"}
+    argv = [a.format(**names) if a.startswith("{") else a for a in argv]
+    if len(argv) > 2 and not often(draw):
+        value = 2 * draw(st.integers(1, (len(argv) - 1) // 2))
+        argv[value] = draw(st.sampled_from(DASHED))
+    if not often(draw):
+        argv.insert(draw(st.integers(0, len(argv))),
+                    draw(st.sampled_from(OFF_GRAMMAR)))
+    if len(argv) > 2 and not often(draw):
+        argv += argv[1:3]
+    return argv
+
+
+def answer(parser, argv):
+    """The namespace parser.parse_args gives argv as a dict, or the exit
+    code and output of its usage error or help."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+def test_fast_parse_answers_as_argparse(argv):
+    expected = answer(_argparse_parser(), argv)
+    fast = _parse_well_formed(argv)
+    if fast is not None:
+        assert vars(fast) == expected
+    assert answer(build_parser(), argv) == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["homog", "-h"], ["homog", "--input", "p.csv", "-h"],
+    ["homog", "--help", "--input", "p.csv"],
+    ["homog", "--inp", "p.csv"], ["homog", "--input=p.csv"],
+    ["homog", "--input", "p.csv", "--input", "q.csv"],
+    ["sample", "--curve", "quintic", "--eps", "1/4", "--seed", "-3"],
+    ["sample", "--curve", "quintic", "--input", "c.json", "--eps", "1/4"],
+    ["sample", "--curve", "spiral", "--eps", "1/4"],
+    ["sample", "--eps", "1/4"], ["homog", "--input"], ["homog"], [],
+    ["homog", "--input", "p.csv", "--", "x"], ["spiral", "--input", "p"],
+    ["crossings", "--input", "p.csv", "--oracle-budget", "x"],
+    ["crossings", "--input", "p.csv", "--oracle-budget", "-1"],
+])
+def test_off_grammar_argv_falls_back_to_argparse(argv):
+    assert _parse_well_formed(argv) is None
+    assert answer(build_parser(), argv) == answer(_argparse_parser(), argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["homog", "--input", "-"], ["flip", "--input", "p.csv", "--dim", "2"],
+    ["crossings", "--input", "p.csv", "--oracle-budget", "0"],
+    ["decompose-curve", "--curve", "quintic", "--eps", "1/25",
+     "--seed", "404"],
+    ["decompose-curve", "--input", "-", "--eps", "1/4",
+     "--oracle-budget", "60", "--out-json", "r.json"],
+    ["sample", "--out-svg", "p.svg", "--curve", "moment", "--dim", "3",
+     "--eps", "1/8"],
+    ["bounds", "--k", "1..4"], ["reduce", "--input", "t.json"],
+])
+def test_well_formed_argv_is_parsed_without_argparse(argv):
+    args = _parse_well_formed(argv)
+    assert args is not None
+    assert vars(args) == answer(_argparse_parser(), argv)
