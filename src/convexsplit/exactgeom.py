@@ -22,12 +22,12 @@ the same quotients (ordertype._pencils).  On 3- and 4-vectors
 ``_quotient`` is unrolled, and a row that shares the pivot's positive
 first coordinate maps to a plain difference, as the rows of integer
 points all do.
-``PointSeq.orientation_of`` memoizes single tuples for callers that ask
-for them one at a time.  Exact values come from the same step:
-hyperplanes are ``_cofactors``, the integer vector c(D) with
-c(D) . x = det(D + [x]) for every row x, hand-expanded for d <= 3 and
-above from the cofactors of D mod its first row by an exact division,
-and ``det_rational`` dots one with the last row.
+``PointSeq.orientation_of`` memoizes single tuples for ``tuple_sign``;
+only the ``ramsey`` search and ``kseq.from_points`` ask.  Exact values
+come from the same step: hyperplanes are ``_cofactors``, the integer
+vector c(D) with c(D) . x = det(D + [x]) for every row x, hand-expanded
+for d <= 3 and above from the cofactors of D mod its first row by an
+exact division, and ``det_rational`` dots one with the last row.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each

@@ -690,6 +690,20 @@ class TestRamsey:
         assert code == 4
         assert report["error"]["type"] == "budget"
 
+    def test_long_line_answers_without_recursion(self, run, tmp_path):
+        # 0..1099 with the values at positions 500 and 501 swapped: the
+        # longest increasing subsequence keeps 1,099 points, and the least
+        # one drops position 501.
+        values = list(range(1100))
+        values[500], values[501] = 501, 500
+        path = write(tmp_path, "l.csv", "".join(f"{v}\n" for v in values))
+        code, report = run(["ramsey", "--input", path, "--dim", "1",
+                            "--oracle-budget", "5000"])
+        assert code == 0
+        longest = report["result"]["longest"]
+        assert longest["length"] == 1099
+        assert 501 not in longest["labels"]
+
 
 class TestReporting:
     def test_error_envelopes_carry_config(self, run, tmp_path):

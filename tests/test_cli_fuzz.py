@@ -1,13 +1,14 @@
 """Fuzz the CLI over argv and inputs: it never shows a traceback.
 
 Each example runs one of the ten commands with a random subset of the
-thirteen flag names and a small input: points as CSV or JSON (n <= 8), a
-sign table, a curve spec, deeply nested JSON or undecodable bytes, with
-non-finite numbers mixed in.  Most examples draw the command's own flags,
-well-formed values and the kind of input it reads, so that they get past
-parsing.  Every run exits 0, 2, 3 or 4; a report (exit 0, 3 or 4)
-validates against docs/report-schema.json, and a usage error (exit 2)
-prints nothing on stdout.
+thirteen flag names and a small input: points on the line, in the plane
+or in space as CSV or JSON (n <= 8), a sign table, a curve spec, deeply
+nested JSON or undecodable bytes, with non-finite numbers mixed in.  Most
+examples draw the command's own flags, well-formed values and the kind
+of input it reads, so that they get past parsing.  Every run exits 0, 2,
+3 or 4; a report (exit 0, 3 or 4) validates against
+docs/report-schema.json, and a usage error (exit 2) prints nothing on
+stdout.
 
 The same argv, with now and then a token from outside the fast parse's
 grammar, also checks ``build_parser()``: whatever its fast step accepts
@@ -61,7 +62,7 @@ SOURCE_FLAGS = ("--input", "--curve", "--dim", "--dents", "--depth",
 # {missing} stand for this example's files.
 VALUES = {
     "--input": (["{input}", "-"], ["{missing}", "{tmp}"]),
-    "--dim": (["2", "3"], ["1", "0", "-1", "x"]),
+    "--dim": (["1", "2", "3"], ["0", "-1", "x"]),
     "--seed": (["0", "7", "-3"], ["x"]),
     "--oracle-budget": (["3", "60"], ["0", "-1", "x"]),
     "--out-json": (["{tmp}/r.json"], ["{tmp}", "{tmp}/no/r.json"]),

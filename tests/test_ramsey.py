@@ -1,17 +1,20 @@
 """Super order-type homogeneity, longest subsequences, extraction pipeline."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from convexsplit.exactgeom import is_general_position, point_seq, project
+from convexsplit.exactgeom import (GeneralPositionError, _det_sign,
+                                   is_general_position, point_seq, project)
 from convexsplit.kseq import c_bound
 from convexsplit.ordertype import is_order_type_homogeneous, tuple_sign
 from convexsplit.ramsey import (SuperGeneralPositionError, ExtractionTrace,
                                 _longest_branch_and_bound,
-                                _longest_planar_monotone, extraction_floor,
+                                _longest_chain, extraction_floor,
                                 is_super_ot_homogeneous,
                                 longest_ot_homogeneous, super_extract)
 
@@ -28,6 +31,10 @@ SPIRAL = point_seq([(1, 0), (0, 1), (-1, -1), (2, -2), (3, 3), (-4, 2)])
 def moment_points(n, d, denom=13):
     return point_seq([tuple(F(i, denom) ** j for j in range(1, d + 1))
                       for i in range(1, n + 1)])
+
+
+def tuple_sign_or_zero(seq, idx):
+    return _det_sign([seq._hom[i] for i in idx])
 
 
 def brute_longest(seq):
@@ -124,7 +131,8 @@ class TestLongest:
             done += 1
 
     def test_dp_agrees_with_branch_and_bound(self):
-        # the planar fast path must match the exhaustive search
+        # the DP must match the exhaustive search on x-monotone planar
+        # input, and on the line also the brute force
         rng = random.Random(97)
         done = 0
         while done < 500:
@@ -135,12 +143,85 @@ class TestLongest:
             got = longest_ot_homogeneous(pts).labels
             assert got == _longest_branch_and_bound(pts)
             done += 1
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pts = point_seq([(v,) for v in rng.sample(range(-40, 40), n)])
+            got = longest_ot_homogeneous(pts).labels
+            assert got == _longest_branch_and_bound(pts)
+            if n <= 9:
+                assert got == brute_longest(pts)
 
     def test_dp_tie_breaks_lexicographically(self):
+        # one pass answers for both signs: the longer chain wins, and
+        # between equally long ones the lexicographically least
         seq = point_seq([(i, i * i) for i in range(5)])
-        assert _longest_planar_monotone(seq, 1) == (0, 1, 2, 3, 4)
-        # every pair is a maximal chain for the wrong sign
-        assert _longest_planar_monotone(seq, -1) == (0, 1)
+        assert _longest_chain(seq) == (0, 1, 2, 3, 4)
+        seq = point_seq([(i, -i * i) for i in range(5)])
+        assert _longest_chain(seq) == (0, 1, 2, 3, 4)
+        # (0, 1, 2) turns right and (0, 2, 3) left
+        assert _longest_chain(ZIGZAG) == (0, 1, 2)
+        flipped = point_seq([(x, -y) for x, y in ZIGZAG.points])
+        assert _longest_chain(flipped) == (0, 1, 2)
+        # on the line (0, 1) falls and (0, 2), (1, 2) rise, or the reverse
+        assert _longest_chain(point_seq([(1,), (0,), (2,)])) == (0, 1)
+        assert _longest_chain(point_seq([(0,), (2,), (1,)])) == (0, 1)
+        assert _longest_chain(point_seq([(3,), (1,), (2,), (0,)])) == (
+            0, 1, 3)
+
+    @pytest.mark.parametrize("seq", [
+        point_seq([(v,) for v in (4, 1, 7, 2, 9, 3, 0, 8)]),
+        point_seq([(-19, 6), (-18, 2), (-13, -2), (-12, -9), (-4, -6),
+                   (4, 3), (5, 9), (11, 0), (14, 5), (16, -4), (17, -8)]),
+    ], ids=["line", "x-monotone-plane"])
+    def test_dp_fills_no_sign_memo(self, seq):
+        assert not is_order_type_homogeneous(seq)
+        longest_ot_homogeneous(seq)
+        assert seq._sign_cache == {}
+
+    def test_line_duplicate_raises_the_verify_gp_witness(self):
+        # (1, 4) and (2, 3) repeat a coordinate; the branch and bound meets
+        # (1, 4) first, and the DP names verify-gp's pair, the one with the
+        # least second index
+        seq = point_seq([(2,), (0,), (1,), (1,), (0,)])
+        assert is_general_position(seq).witness == (2, 3)
+        with pytest.raises(GeneralPositionError) as err:
+            longest_ot_homogeneous(seq)
+        assert err.value.witness == (2, 3)
+        with pytest.raises(GeneralPositionError) as err:
+            _longest_branch_and_bound(seq)
+        assert err.value.witness == (1, 4)
+
+    def test_planar_degenerate_witness_is_first_in_dp_order(self):
+        # the raised triple is the first collinear one with the middle
+        # index, then the first, descending and the last ascending: the
+        # order of the DP's states and of its next points
+        rng = random.Random(61)
+        for _ in range(300):
+            n = rng.randint(3, 10)
+            xs = sorted(rng.sample(range(-12, 12), n))
+            seq = point_seq([(x, rng.randint(-4, 4)) for x in xs])
+            zeros = [(i, j, k) for j in range(n - 1, -1, -1)
+                     for i in range(j - 1, -1, -1) for k in range(j + 1, n)
+                     if tuple_sign_or_zero(seq, (i, j, k)) == 0]
+            if not zeros:
+                continue
+            with pytest.raises(GeneralPositionError) as err:
+                longest_ot_homogeneous(seq)
+            assert err.value.witness == zeros[0]
+
+    @pytest.mark.parametrize("seq", [
+        point_seq([(i,) for i in range(40)]),
+        point_seq([(i, i * i) for i in range(40)]),
+    ], ids=["line", "parabola"])
+    def test_branch_and_bound_runs_without_recursion(self, seq):
+        # 40 kept points, with the recursion limit 30 frames above here
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+        try:
+            got = _longest_branch_and_bound(seq)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == tuple(range(40))
 
 
 class TestSuperExtract:
