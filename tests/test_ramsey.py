@@ -33,10 +33,6 @@ def moment_points(n, d, denom=13):
                       for i in range(1, n + 1)])
 
 
-def tuple_sign_or_zero(seq, idx):
-    return _det_sign([seq._hom[i] for i in idx])
-
-
 def brute_longest(seq):
     """Reference implementation: enumerate all subsequences."""
     n, d = len(seq), seq.dim
@@ -179,17 +175,17 @@ class TestLongest:
         assert seq._sign_cache == {}
 
     def test_line_duplicate_raises_the_verify_gp_witness(self):
-        # (1, 4) and (2, 3) repeat a coordinate; the branch and bound meets
-        # (1, 4) first, and the DP names verify-gp's pair, the one with the
-        # least second index
-        seq = point_seq([(2,), (0,), (1,), (1,), (0,)])
+        # (0, 4), (0, 5), (2, 3) and (4, 5) repeat a coordinate.  The branch
+        # and bound meets (0, 4) first and the DP's states (4, 5), but the
+        # DP names verify-gp's pair, the one with the least second index.
+        seq = point_seq([(0,), (2,), (1,), (1,), (0,), (0,)])
         assert is_general_position(seq).witness == (2, 3)
         with pytest.raises(GeneralPositionError) as err:
             longest_ot_homogeneous(seq)
         assert err.value.witness == (2, 3)
         with pytest.raises(GeneralPositionError) as err:
             _longest_branch_and_bound(seq)
-        assert err.value.witness == (1, 4)
+        assert err.value.witness == (0, 4)
 
     def test_planar_degenerate_witness_is_first_in_dp_order(self):
         # the raised triple is the first collinear one with the middle
@@ -202,7 +198,7 @@ class TestLongest:
             seq = point_seq([(x, rng.randint(-4, 4)) for x in xs])
             zeros = [(i, j, k) for j in range(n - 1, -1, -1)
                      for i in range(j - 1, -1, -1) for k in range(j + 1, n)
-                     if tuple_sign_or_zero(seq, (i, j, k)) == 0]
+                     if not _det_sign([seq._hom[m] for m in (i, j, k)])]
             if not zeros:
                 continue
             with pytest.raises(GeneralPositionError) as err:
