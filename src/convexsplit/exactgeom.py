@@ -11,12 +11,18 @@ eps such that det(v, W) has the sign of eps * det(W mod v).
 ``_det_sign`` loops it down to a hand-expanded 3x3, and ``_rank``
 recurses on it.  When the signs of all (d+1)-tuples should agree,
 ``_alternating`` proves it from O(n^(d-1)) determinants, in every
-dimension: a base determinant and the per-row step ``_extends`` for
-rank 2 and 3 (2n - 3 and 3n - 8 of them), and recursion on quotients
-above.  Homogeneity, general position and greedy block extension all
-run on it, and where it fails ``_least_bad`` names the least subset of
-the wrong sign by the same recursion, with no subset scan; at rank 2 by
-two linear scans, one of them keeping the cone of the later rows.  The
+dimension: a base determinant and a per-row step for rank 2 and 3
+(2n - 3 and 3n - 8 of them), and recursion on quotients above.  The
+rank-2 step is ``_extends``; rank 3 is one loop, ``_chain``, of one
+cross product and three dot products per row, which the rank-4 anchors
+feed their rows mod the anchor one at a time.  Those steps compute
+their determinants inline, with no ``_det_sign`` call, and add their
+number to ``_tally`` once per run, so a count of determinants is
+``_det_sign``'s calls plus ``_tally``.  Homogeneity, general position
+and greedy block extension all run on it, and where it fails
+``_least_bad`` names the least subset of the wrong sign by the same
+recursion, with no subset scan; at rank 2 by two linear scans, one of
+them keeping the cone of the later rows.  The
 pencils of the flip test and the crossing oracle take their planes from
 the same quotients (ordertype._pencils).  On 3- and 4-vectors
 ``_quotient`` is unrolled, and a row that shares the pivot's positive
@@ -27,7 +33,9 @@ only the ``ramsey`` search and ``kseq.from_points`` ask.  Exact values
 come from the same step: hyperplanes are ``_cofactors``, the integer
 vector c(D) with c(D) . x = det(D + [x]) for every row x, hand-expanded
 for d <= 3 and above from the cofactors of D mod its first row by an
-exact division, and ``det_rational`` dots one with the last row.
+exact division.  ``det_rational`` loops ``_quotient`` with Bareiss's
+exact division down to 4 rows and dots the cofactors of three with the
+fourth.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -273,6 +281,12 @@ def _quotient(rows: Sequence[Sequence[int]], v: Sequence[int]
             for w in rows], eps
 
 
+# Determinants that the inline rank-2 and rank-3 steps (_extends, _chain)
+# decide without a _det_sign call, added once per run.  Every determinant
+# sign decided is one _det_sign call or one unit of this.
+_tally = 0
+
+
 def _extends(rows: Sequence[Sequence[int]], s: int, j: int,
              sigma: int) -> bool:
     """Do the sigma-alternating rows v_s..v_{j-1} stay sigma-alternating
@@ -319,16 +333,86 @@ def _extends(rows: Sequence[Sequence[int]], s: int, j: int,
     so every turn is left.  A simple polygon turning left at every
     vertex is strictly convex and counterclockwise, so every triple of
     the extended sequence is positive.
+
+    Cost: the determinants are inline integer arithmetic, and none calls
+    _det_sign.  The first wrong sign ends the call.  At r = 3 the first
+    two read share one cross product x = v_{j-1} x v_j, as v_{j-2} . x
+    and v_s . x; the third is v_s . (v_{s+1} x v_j).  Each call adds the
+    number it read to _tally.
     """
+    global _tally
     # The turn at v_{j-1} first: a rejected row usually fails it.
-    det = _det_sign
-    v, w = rows[j - 1], rows[j]
+    v, w, a = rows[j - 1], rows[j], rows[s]
     if len(w) == 2:
-        return det((v, w)) == sigma and det((rows[s], w)) == sigma
-    a = rows[s]
-    return (det((rows[j - 2], v, w)) == sigma
-            and det((a, v, w)) == sigma
-            and det((a, rows[s + 1], w)) == sigma)
+        p, q = w
+        t = v[0] * q - v[1] * p
+        if (t > 0) - (t < 0) != sigma:
+            _tally += 1
+            return False
+        t = a[0] * q - a[1] * p
+        _tally += 2
+        return (t > 0) - (t < 0) == sigma
+    (p, q, r), (e, f, g) = v, w
+    x, y, z = q * g - r * f, r * e - p * g, p * f - q * e
+    u = rows[j - 2]
+    t = u[0] * x + u[1] * y + u[2] * z
+    if (t > 0) - (t < 0) != sigma:
+        _tally += 1
+        return False
+    t = a[0] * x + a[1] * y + a[2] * z
+    if (t > 0) - (t < 0) != sigma:
+        _tally += 2
+        return False
+    _tally += 3
+    p, q, r = rows[s + 1]
+    t = (a[0] * (q * g - r * f) + a[1] * (r * e - p * g)
+         + a[2] * (p * f - q * e))
+    return (t > 0) - (t < 0) == sigma
+
+
+def _chain(rows: Iterable[Sequence[int]], sigma: int) -> int:
+    """_alternating at rank 3, on at least 3 rows taken one at a time.
+
+    The first three rows give the base sign, and each later row w must
+    pass _extends's three turns against the rows before it, in its order
+    and with its short cut: with v the previous row and u the one before,
+    x = v x w is one cross product, and the turns are u . x, a . x and
+    c . w, where a is the first row and c = a x rows[1] is fixed.  That
+    is 15 integer products per row.  A negative base negates a and c
+    once, so those two turns are then read as positive.  Adds the number
+    of determinants it read to _tally, once.
+    """
+    global _tally
+    rows = iter(rows)
+    a0, a1, a2 = next(rows)
+    u0, u1, u2 = next(rows)
+    c0, c1, c2 = a1 * u2 - a2 * u1, a2 * u0 - a0 * u2, a0 * u1 - a1 * u0
+    v0, v1, v2 = next(rows)
+    t = c0 * v0 + c1 * v1 + c2 * v2
+    base = (t > 0) - (t < 0)
+    if not base or sigma not in (0, base):
+        _tally += 1
+        return 0
+    pos = base > 0
+    if not pos:
+        a0, a1, a2, c0, c1, c2 = -a0, -a1, -a2, -c0, -c1, -c2
+    n = 1
+    for w0, w1, w2 in rows:
+        x0, x1, x2 = v1 * w2 - v2 * w1, v2 * w0 - v0 * w2, v0 * w1 - v1 * w0
+        t = u0 * x0 + u1 * x1 + u2 * x2
+        if not (t > 0 if pos else t < 0):
+            _tally += n + 1
+            return 0
+        if a0 * x0 + a1 * x1 + a2 * x2 <= 0:
+            _tally += n + 2
+            return 0
+        if c0 * w0 + c1 * w1 + c2 * w2 <= 0:
+            _tally += n + 3
+            return 0
+        n += 3
+        u0, u1, u2, v0, v1, v2 = v0, v1, v2, w0, w1, w2
+    _tally += n
+    return base
 
 
 def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
@@ -341,35 +425,49 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     A point sequence in R^d is sigma-homogeneous iff its homogeneous rows
     (r = d + 1) are sigma-alternating: the configuration of the cyclic
     polytope (Bjorner, Las Vergnas, Sturmfels, White and Ziegler,
-    *Oriented Matroids*).  Every determinant is one _det_sign call.
+    *Oriented Matroids*).
 
     r = 2 and 3: the first r rows must have sign sigma, and each later
     row must pass _extends against the rows before it, which gives every
     r-subset by induction.  That is 2m - 3 determinants for r = 2 and
-    3m - 8 for r = 3.
+    3m - 8 for r = 3.  At r = 2 the base is one _det_sign call and each
+    row one _extends call; r = 3 is one inline loop, _chain.
 
     r >= 4, with O(m^(r-2)) determinants: every r-subset has a least
     member v_i, and by _quotient its determinant is eps_i times that of
     the other r-1 rows mod v_i.  So V is sigma-alternating iff, for each
     i <= m - r + 1, the rows after v_i mod v_i are
     (sigma * eps_i)-alternating with rank r - 1, and v_i != 0.  Entries
-    grow by about one row's size per level.
+    grow by about one row's size per level.  At r = 4, an anchor with a
+    positive first coordinate, as every point row in R^3 has, feeds its
+    rows mod v_i to _chain one at a time by _quotient's unrolled map
+    (eps_i = 1), so no quotient list is built.
     """
     m = len(rows)
     if not m or m < len(rows[0]):
         return sigma
     r = len(rows[0])
-    if r <= 3:
-        base = _det_sign(rows[:r])
+    if r == 2:
+        base = _det_sign(rows[:2])
         if not base or sigma not in (0, base):
             return 0
-        ok = all(_extends(rows, 0, j, base) for j in range(r, m))
+        ok = all(_extends(rows, 0, j, base) for j in range(2, m))
         return base if ok else 0
+    if r == 3:
+        return _chain(rows, sigma)
     for i in range(m - r + 1):
-        if not any(rows[i]):
+        v = rows[i]
+        if not any(v):
             return 0
-        sub, eps = _quotient(rows[i + 1:], rows[i])
-        s = _alternating(sub, sigma * eps)
+        if r == 4 and v[0] > 0:
+            l, p, q, t = v
+            eps = 1
+            s = _chain(((b - p, c - q, e - t) if k == l
+                        else (l * b - k * p, l * c - k * q, l * e - k * t)
+                        for k, b, c, e in rows[i + 1:]), sigma)
+        else:
+            sub, eps = _quotient(rows[i + 1:], v)
+            s = _alternating(sub, sigma * eps)
         if not s:
             return 0
         sigma = s * eps
@@ -450,18 +548,44 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix; a matrix that is not
-    square raises DimensionMismatchError.  It is _cofactors of all rows
-    but the last, dotted with the last, each row cleared by _hom_row and
-    the product over the product of their scales."""
+    square raises DimensionMismatchError.
+
+    Each row is cleared by _hom_row, whose scale goes to the denominator,
+    and one loop takes the first row v out by _quotient until 4 rows are
+    left, whose determinant is _cofactors of three dotted with the
+    fourth.  On r-vectors, with k the first nonzero coordinate of v and
+    a = v[k], det(v, W) = (-1)^k * a^(2-r) * det(W mod v).  After the
+    first level the rows mod v are divided by the previous pivot p, an
+    exact division (Sylvester's identity, as in Bareiss's elimination),
+    so entries grow by one row's width per level, not twice it, and
+    det(W mod v) / p^(r-1) = a^(r-2) * det(W / p) carries through: the
+    determinant is the sign of the column choices times that of the last
+    rows over p^(r-1).  A zero v gives 0.
+    """
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(
             f"determinant of a non-square matrix with {len(rows)} rows")
     if not rows:
         return Fraction(1)
     hom = list(map(_hom_row, rows))
-    c = _cofactors([row[1:] for row in hom[:-1]])
-    return Fraction(sum(map(mul, c, hom[-1][1:])),
-                    math.prod(row[0] for row in hom))
+    num, den, p = 1, math.prod(row[0] for row in hom), 1
+    rows = [row[1:] for row in hom]
+    while len(rows) > 4:
+        v = rows[0]
+        if not any(v):
+            return Fraction(0)
+        k = next(j for j, x in enumerate(v) if x)
+        rows = _quotient(rows[1:], v)[0]
+        if p != 1:
+            rows = [tuple([x // p for x in w]) for w in rows]
+        p = v[k]
+        if k % 2:
+            num = -num
+    if len(rows) == 1:
+        return Fraction(rows[0][0], den)
+    c = _cofactors(rows[:-1])
+    return Fraction(num * sum(map(mul, c, rows[-1])),
+                    den * p ** (len(rows) - 1))
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:

@@ -148,11 +148,13 @@ def _extend(s: KSequence, start: int, nxt: int, sigma: int | None
     Geometric blocks are tested on their homogeneous rows (see
     exactgeom._alternating).  In R^1 and R^2, once sigma is set, the
     block's rows already alternate, and exactgeom._extends decides nxt
-    from 2 or 3 determinants; while sigma is open the block has k points,
-    and the k + 1 rows with nxt take one determinant.  In R^k for k >= 3,
-    nxt joins when the block's rows modulo hom(nxt) are alternating, as
-    sign(D + nxt) = (-1)^k * eps * det(D mod hom(nxt)) with eps from
-    exactgeom._quotient (moving hom(nxt) to the front takes k swaps).  On
+    from 2 or 3 determinants, inline integer arithmetic in which two of
+    the three share one cross product; while sigma is open the block has
+    k points, and the k + 1 rows with nxt take one determinant.  In R^k
+    for k >= 3, nxt joins when the block's rows modulo hom(nxt) are
+    alternating, as sign(D + nxt) = (-1)^k * eps * det(D mod hom(nxt))
+    with eps from exactgeom._quotient (moving hom(nxt) to the front takes
+    k swaps).  On
     rejection, exactgeom._least_bad finds the witness on those rows, in
     every dimension: from O(b) determinants for a block of b points in R^1
     and R^2, and O(b^max(2, k-2)) in R^k for k >= 3.  Abstract sequences

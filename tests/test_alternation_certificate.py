@@ -30,6 +30,7 @@ from convexsplit.ordertype import (FlipReport, _pencils, _scan_flip,
                                    is_flip, is_order_type_homogeneous,
                                    sign_sequence)
 from test_cofactor_kernel import count_calls, moment_seq, outcome, two_arc_seq
+from test_local_convexity import count_dets
 
 
 def sweep_is_flip(seq):
@@ -118,7 +119,7 @@ class TestConvexPath:
         seq = moment_seq(n, d)
         pencils = [count_calls(monkeypatch, owner, "_pencils")
                    for owner in (crossing, ordertype)]
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         runs = count_calls(monkeypatch, exactgeom, "_alternating")
         path = PolyPath(seq)
         assert max_crossings(path).max_crossings == d
@@ -126,10 +127,9 @@ class TestConvexPath:
         assert is_convex(path)
         assert is_flip(seq)
         assert [args[0] for args in runs if len(args[0]) == n] == [seq._hom]
-        certificate_dets = len(dets)
-        dets.clear()
+        certificate_dets = dets()
         assert exactgeom._alternating(seq._hom) == 1
-        assert certificate_dets == len(dets) > 0
+        assert certificate_dets == dets() - certificate_dets > 0
         assert pencils == [[], []]
 
     @pytest.mark.parametrize("d,n", [(1, 16), (2, 14), (3, 11), (4, 9)])
@@ -138,7 +138,7 @@ class TestConvexPath:
         # greedy alone and keeps its answer as the certificate, which the
         # crossing oracle and is_convex then read with no determinant.
         runs = count_calls(monkeypatch, exactgeom, "_alternating")
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         pencils = count_calls(monkeypatch, crossing, "_pencils")
         convex, bent = moment_seq(n, d), two_arc_seq(n, d)
         assert "_sigma" not in vars(convex) and "_sigma" not in vars(bent)
@@ -148,11 +148,11 @@ class TestConvexPath:
         dec = crossing.decompose(PolyPath._certified(bent))
         assert dec.count > 1 and vars(bent)["_sigma"] == 0
         assert [args for args in runs if len(args[0]) == n] == []
-        dets.clear()
+        settled = dets()
         assert max_crossings(PolyPath._certified(convex)).max_crossings == d
         assert is_convex(PolyPath._certified(convex))
         assert not is_convex(PolyPath._certified(bent))
-        assert dets == [] and pencils == []
+        assert dets() == settled and pencils == []
         assert exactgeom._alternating(convex._hom) == 1
         assert exactgeom._alternating(bent._hom) == 0
 

@@ -42,7 +42,7 @@ from convexsplit.exactgeom import (GeneralPositionError,
 from convexsplit.ordertype import (FlipReport, SignSeq, count_sign_changes,
                                    is_flip, is_order_type_homogeneous,
                                    sign_sequence)
-from test_local_convexity import scan_homogeneous
+from test_local_convexity import count_dets, scan_homogeneous
 
 
 def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -487,11 +487,11 @@ class TestCounters:
         # each, plus the first tuple's sign.  That is O(n^2), where the
         # D-first scan it replaced made C(n - 1, 3) cofactor vectors.
         seq = moment_seq(n, 3)
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         cofactors = count_calls(monkeypatch, ordertype, "_cofactors")
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         assert is_order_type_homogeneous(seq).sign == 1
-        assert len(dets) == 1 + sum(3 * m - 8 for m in range(3, n))
+        assert dets() == 1 + sum(3 * m - 8 for m in range(3, n))
         assert cofactors == []
         assert orients == []
 
@@ -508,9 +508,10 @@ class TestCounters:
         ts = [Fraction(3 * i + 2, 384) - 1 for i in range(n)]
         seq = point_seq([(t, t * t, t ** 4) for t in ts])
         dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        total = count_dets(monkeypatch)
         report = is_order_type_homogeneous(seq)
         assert report.witness == ((0, 1, 2, 3), (126, 127, 128, 129))
-        assert len(dets) <= 3 * math.comb(n, 2) + 1
+        assert total() <= 3 * math.comb(n, 2) + 1
         # The first tuple's sign is one 4-row determinant; the only other
         # is the witness's re-check.
         assert [i for i, (rows,) in enumerate(dets) if len(rows) == 4] == \
@@ -523,11 +524,11 @@ class TestCounters:
         # From R^3 up the witness kernel's anchors are the alternating
         # test's own; only the first tuple's sign is added.
         seq = moment_seq(n, d)
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         assert exactgeom._alternating(seq._hom) == 1
-        alone = len(dets)
+        alone = dets()
         assert is_order_type_homogeneous(seq).sign == 1
-        assert len(dets) - alone == alone + 1
+        assert dets() - alone == alone + 1
 
     def test_general_position_uses_no_sign_cache(self, monkeypatch):
         seq = moment_seq(12, 3)

@@ -196,20 +196,36 @@ def convex_polygon(n):
                       for t in ts])
 
 
+def count_dets(monkeypatch):
+    """A function giving the number of determinant signs decided since
+    this call: the exactgeom._det_sign calls plus the determinants that
+    the inline rank-2 and rank-3 steps add to exactgeom._tally."""
+    calls = []
+    det_sign = exactgeom._det_sign
+
+    def counting(rows):
+        calls.append(rows)
+        return det_sign(rows)
+
+    monkeypatch.setattr(exactgeom, "_det_sign", counting)
+    monkeypatch.setattr(exactgeom, "_tally", 0)
+    return lambda: len(calls) + exactgeom._tally
+
+
 @pytest.fixture()
 def counted(monkeypatch):
-    """Counts of PointSeq.orientation_of and exactgeom._det_sign calls,
-    and of the witness kernel calls that greedy extension makes
-    (kseq._least_bad)."""
-    counts = {"orient": 0, "dets": 0, "witness": 0}
+    """Counts of PointSeq.orientation_of calls and of the witness kernel
+    calls that greedy extension makes (kseq._least_bad), and under "dets"
+    a function giving the determinants decided (count_dets)."""
+    counts = {"orient": 0, "witness": 0}
     for owner, name, key in ((PointSeq, "orientation_of", "orient"),
-                             (exactgeom, "_det_sign", "dets"),
                              (kseq, "_least_bad", "witness")):
         def counting(*args, _fn=getattr(owner, name), _key=key):
             counts[_key] += 1
             return _fn(*args)
 
         monkeypatch.setattr(owner, name, counting)
+    counts["dets"] = count_dets(monkeypatch)
     return counts
 
 
@@ -220,14 +236,14 @@ class TestCounters:
         seq = point_seq([(t, t * t) for t in ts])
         assert is_order_type_homogeneous(seq).sign == 1
         assert counted["orient"] == 0
-        assert counted["dets"] <= 3 * n
+        assert counted["dets"]() <= 3 * n
         assert seq._sign_cache == {}
 
     def test_line_homog_is_linear(self, counted):
         seq = point_seq([(Fraction(-i, 7),) for i in range(100)])
         assert is_order_type_homogeneous(seq).sign == -1
         assert counted["orient"] == 0
-        assert counted["dets"] == 2 * 100 - 3
+        assert counted["dets"]() == 2 * 100 - 3
 
     @pytest.mark.parametrize("n", [10, 60, 200])
     def test_greedy_on_convex_polygon_is_linear(self, n, counted):
@@ -235,7 +251,7 @@ class TestCounters:
         assert gp.blocks == ((0, n - 1),)
         assert gp.signs == (1,)
         assert counted["orient"] == 0
-        assert counted["dets"] <= 3 * n
+        assert counted["dets"]() <= 3 * n
         assert counted["witness"] == 0
 
     @pytest.mark.parametrize("n", [10, 60, 200])
@@ -244,7 +260,7 @@ class TestCounters:
         dec = decompose(PolyPath(seq))
         assert dec.pieces == ((0, n - 1),)
         assert counted["orient"] == 0
-        assert counted["dets"] <= 3 * n
+        assert counted["dets"]() <= 3 * n
         assert seq._sign_cache == {}
 
     def test_decompose_curve_reads_no_tuple(self, counted):
@@ -252,7 +268,7 @@ class TestCounters:
         seq = out.sample.path.seq
         assert len(out.decomposition.pieces) == 4
         assert counted["orient"] == 0
-        assert counted["dets"] <= 3 * len(seq)
+        assert counted["dets"]() <= 3 * len(seq)
         assert seq._sign_cache == {}
 
     @pytest.mark.parametrize("n", [2, 10, 100])
@@ -264,7 +280,7 @@ class TestCounters:
         gp = greedy_partition(from_points(seq))
         assert gp.blocks == ((0, n - 1),)
         assert gp.signs == (1,)
-        assert counted["dets"] <= 2 * n
+        assert counted["dets"]() <= 2 * n
         assert sign_at == []
 
     def test_pair_loop_runs_once_per_rejected_block(self, counted):

@@ -30,7 +30,7 @@ from convexsplit.ramsey import _super_extract, super_extract
 from test_cofactor_kernel import (_bareiss_det, bareiss_sign, count_calls,
                                   curve_paths, moment_seq, old_tuple_sign,
                                   outcome, point_sets)
-from test_local_convexity import scan_homogeneous
+from test_local_convexity import count_dets, scan_homogeneous
 
 
 def brute_alternating(rows, sigma=0):
@@ -225,36 +225,36 @@ class TestCounters:
     @pytest.mark.parametrize("n", [4, 9, 30, 60])
     def test_spatial_homog_is_quadratic(self, n, monkeypatch):
         seq = moment_seq(n, 3)
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         scans = [count_calls(monkeypatch, owner, "_cofactors")
                  for owner in (exactgeom, ordertype)]
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         assert is_order_type_homogeneous(seq).sign == 1
-        assert len(dets) <= 3 * math.comb(n, 2)
+        assert dets() <= 3 * math.comb(n, 2)
         assert [len(s) for s in scans] == [0, 0]
         assert orients == []
 
     @pytest.mark.parametrize("n", [5, 12, 40])
     def test_spatial_decompose_reads_no_tuple(self, n, monkeypatch):
         seq = moment_seq(n, 3)
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         orients = count_calls(monkeypatch, PointSeq, "orientation_of")
         dec = decompose(PolyPath(seq))
         assert dec.pieces == ((0, n - 1),)
         assert dec.partition.signs == (1,)
         assert orients == []
         assert seq._sign_cache == {}
-        assert len(dets) <= 3 * math.comb(n, 2)
+        assert dets() <= 3 * math.comb(n, 2)
 
     @pytest.mark.parametrize("n", [4, 9, 30, 60])
     def test_spatial_general_position_is_quadratic(self, n, monkeypatch):
         seq = moment_seq(n, 3)
-        dets = count_calls(monkeypatch, exactgeom, "_det_sign")
+        dets = count_dets(monkeypatch)
         cofactors = count_calls(monkeypatch, exactgeom, "_cofactors")
         PolyPath(seq)
         assert vars(seq)["_sigma"] == 1
         assert cofactors == []
-        assert len(dets) <= 3 * math.comb(n, 2)
+        assert dets() <= 3 * math.comb(n, 2)
 
     def test_ramsey_checks_general_position_twice(self, monkeypatch,
                                                   tmp_path):
