@@ -11,14 +11,15 @@ witness kernel ``_least_bad`` runs on the new step, and is checked
 against a lexicographic scan of every subset.
 """
 
-import contextlib
 import itertools
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convexsplit import exactgeom
 from convexsplit.exactgeom import _det_sign, _least_bad, _quotient
+from test_local_convexity import count_dets
 
 
 def oracle_extends(rows, s, j, sigma, det=_det_sign):
@@ -62,25 +63,6 @@ def counting_oracle(fn, *args):
         return _det_sign(rows)
 
     return fn(*args, det), len(calls)
-
-
-@contextlib.contextmanager
-def determinants():
-    """Yields a function giving the determinants decided since entry: the
-    exactgeom._det_sign calls plus what the inline steps add to
-    exactgeom._tally."""
-    calls = []
-
-    def counting(rows):
-        calls.append(rows)
-        return _det_sign(rows)
-
-    exactgeom._det_sign = counting
-    start = exactgeom._tally
-    try:
-        yield lambda: len(calls) + exactgeom._tally - start
-    finally:
-        exactgeom._det_sign = _det_sign
 
 
 def brute_least_bad(rows, tau):
@@ -150,7 +132,8 @@ class TestDifferential:
         # passing and on failing rows alike.
         _, rows = case
         expected, calls = counting_oracle(oracle_alternating, rows, sigma)
-        with determinants() as count:
+        with pytest.MonkeyPatch.context() as mp:
+            count = count_dets(mp)
             assert exactgeom._alternating(rows, sigma) == expected
             assert count() == calls
 
@@ -176,7 +159,8 @@ class TestDifferential:
         s = data.draw(st.integers(0, j - r))
         sigma = data.draw(st.sampled_from((-1, 0, 1)))
         expected, calls = counting_oracle(oracle_extends, rows, s, j, sigma)
-        with determinants() as count:
+        with pytest.MonkeyPatch.context() as mp:
+            count = count_dets(mp)
             assert exactgeom._extends(rows, s, j, sigma) == expected
             assert count() == calls
 
@@ -187,8 +171,9 @@ class TestCost:
         # base, every row and every anchor are inline; so is each _extends
         # call.  The tally still counts every determinant.
         calls = []
-        with determinants() as count:
-            exactgeom._det_sign = calls.append
+        with pytest.MonkeyPatch.context() as mp:
+            count = count_dets(mp)
+            mp.setattr(exactgeom, "_det_sign", calls.append)
             planar = [row[:3] for row in MOMENT]
             assert exactgeom._alternating(planar) == 1
             assert exactgeom._alternating(MOMENT) == 1
