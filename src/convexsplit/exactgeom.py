@@ -551,16 +551,16 @@ def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     square raises DimensionMismatchError.
 
     Each row is cleared by _hom_row, whose scale goes to the denominator,
-    and one loop takes the first row v out by _quotient until 4 rows are
-    left, whose determinant is _cofactors of three dotted with the
-    fourth.  On r-vectors, with k the first nonzero coordinate of v and
-    a = v[k], det(v, W) = (-1)^k * a^(2-r) * det(W mod v).  After the
-    first level the rows mod v are divided by the previous pivot p, an
-    exact division (Sylvester's identity, as in Bareiss's elimination),
-    so entries grow by one row's width per level, not twice it, and
-    det(W mod v) / p^(r-1) = a^(r-2) * det(W / p) carries through: the
-    determinant is the sign of the column choices times that of the last
-    rows over p^(r-1).  A zero v gives 0.
+    and one loop takes the first row v out by _quotient (its general map,
+    on 5 or more coordinates) until 4 rows are left, whose determinant is
+    _cofactors of three dotted with the fourth.  On r-vectors, with k the
+    first nonzero coordinate of v and a = v[k], det(v, W) = (-1)^k *
+    a^(2-r) * det(W mod v).  After the first level the rows mod v are
+    divided by the previous pivot, an exact division (Sylvester's
+    identity, as in Bareiss's elimination), so entries grow by one row's
+    width per level instead of doubling.  Then the r rows left after
+    pivot p have determinant +-p^(r-1) times the input's, the sign being
+    the product of the (-1)^k.  A zero v gives 0.
     """
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(
