@@ -14,8 +14,7 @@ recurses on it.  When the signs of all (d+1)-tuples should agree,
 dimension: a base determinant and a per-row step for rank 2 and 3
 (2n - 3 and 3n - 8 of them), and recursion on quotients above.  The
 rank-2 step is ``_extends``; rank 3 is one loop, ``_chain``, of one
-cross product and three dot products per row, which the rank-4 anchors
-feed their rows mod the anchor one at a time.  Those steps compute
+cross product and three dot products per row.  Those steps compute
 their determinants inline, with no ``_det_sign`` call, and add their
 number to ``_tally`` once per run, so a count of determinants is
 ``_det_sign``'s calls plus ``_tally``.  Homogeneity, general position
@@ -33,9 +32,7 @@ only the ``ramsey`` search and ``kseq.from_points`` ask.  Exact values
 come from the same step: hyperplanes are ``_cofactors``, the integer
 vector c(D) with c(D) . x = det(D + [x]) for every row x, hand-expanded
 for d <= 3 and above from the cofactors of D mod its first row by an
-exact division.  ``det_rational`` loops ``_quotient`` with Bareiss's
-exact division down to 4 rows and dots the cofactors of three with the
-fourth.
+exact division, and ``det_rational`` dots one with the last row.
 Beyond that certificate, both general-position checks run one recursion,
 ``_least_dependent``: rows mod one row at a time down to rank 2, where
 parallel rows are found; O(n^d) rank-2 tests in R^d.  On 3-vectors each
@@ -370,8 +367,8 @@ def _extends(rows: Sequence[Sequence[int]], s: int, j: int,
     return (t > 0) - (t < 0) == sigma
 
 
-def _chain(rows: Iterable[Sequence[int]], sigma: int) -> int:
-    """_alternating at rank 3, on at least 3 rows taken one at a time.
+def _chain(rows: Sequence[Sequence[int]], sigma: int) -> int:
+    """_alternating at rank 3, on at least 3 rows.
 
     The first three rows give the base sign, and each later row w must
     pass _extends's three turns against the rows before it, in its order
@@ -438,10 +435,7 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     the other r-1 rows mod v_i.  So V is sigma-alternating iff, for each
     i <= m - r + 1, the rows after v_i mod v_i are
     (sigma * eps_i)-alternating with rank r - 1, and v_i != 0.  Entries
-    grow by about one row's size per level.  At r = 4, an anchor with a
-    positive first coordinate, as every point row in R^3 has, feeds its
-    rows mod v_i to _chain one at a time by _quotient's unrolled map
-    (eps_i = 1), so no quotient list is built.
+    grow by about one row's size per level.
     """
     m = len(rows)
     if not m or m < len(rows[0]):
@@ -456,18 +450,10 @@ def _alternating(rows: Sequence[Sequence[int]], sigma: int = 0) -> int:
     if r == 3:
         return _chain(rows, sigma)
     for i in range(m - r + 1):
-        v = rows[i]
-        if not any(v):
+        if not any(rows[i]):
             return 0
-        if r == 4 and v[0] > 0:
-            l, p, q, t = v
-            eps = 1
-            s = _chain(((b - p, c - q, e - t) if k == l
-                        else (l * b - k * p, l * c - k * q, l * e - k * t)
-                        for k, b, c, e in rows[i + 1:]), sigma)
-        else:
-            sub, eps = _quotient(rows[i + 1:], v)
-            s = _alternating(sub, sigma * eps)
+        sub, eps = _quotient(rows[i + 1:], rows[i])
+        s = _alternating(sub, sigma * eps)
         if not s:
             return 0
         sigma = s * eps
@@ -548,44 +534,18 @@ def _least_bad(rows: Sequence[Sequence[int]], tau: int
 
 def det_rational(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Exact determinant of a square rational matrix; a matrix that is not
-    square raises DimensionMismatchError.
-
-    Each row is cleared by _hom_row, whose scale goes to the denominator,
-    and one loop takes the first row v out by _quotient (its general map,
-    on 5 or more coordinates) until 4 rows are left, whose determinant is
-    _cofactors of three dotted with the fourth.  On r-vectors, with k the
-    first nonzero coordinate of v and a = v[k], det(v, W) = (-1)^k *
-    a^(2-r) * det(W mod v).  After the first level the rows mod v are
-    divided by the previous pivot, an exact division (Sylvester's
-    identity, as in Bareiss's elimination), so entries grow by one row's
-    width per level instead of doubling.  Then the r rows left after
-    pivot p have determinant +-p^(r-1) times the input's, the sign being
-    the product of the (-1)^k.  A zero v gives 0.
-    """
+    square raises DimensionMismatchError.  It is _cofactors of all rows
+    but the last, dotted with the last, each row cleared by _hom_row and
+    the product over the product of their scales."""
     if any(len(row) != len(rows) for row in rows):
         raise DimensionMismatchError(
             f"determinant of a non-square matrix with {len(rows)} rows")
     if not rows:
         return Fraction(1)
     hom = list(map(_hom_row, rows))
-    num, den, p = 1, math.prod(row[0] for row in hom), 1
-    rows = [row[1:] for row in hom]
-    while len(rows) > 4:
-        v = rows[0]
-        if not any(v):
-            return Fraction(0)
-        k = next(j for j, x in enumerate(v) if x)
-        rows = _quotient(rows[1:], v)[0]
-        if p != 1:
-            rows = [tuple([x // p for x in w]) for w in rows]
-        p = v[k]
-        if k % 2:
-            num = -num
-    if len(rows) == 1:
-        return Fraction(rows[0][0], den)
-    c = _cofactors(rows[:-1])
-    return Fraction(num * sum(map(mul, c, rows[-1])),
-                    den * p ** (len(rows) - 1))
+    c = _cofactors([row[1:] for row in hom[:-1]])
+    return Fraction(sum(map(mul, c, hom[-1][1:])),
+                    math.prod(row[0] for row in hom))
 
 
 def _rank(rows: Sequence[Sequence[int]]) -> int:

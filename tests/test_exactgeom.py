@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,17 @@ def _laplace_det(rows):
     return total
 
 
+def _bareiss_over_row_scales(rows):
+    """The Bareiss determinant of the rows cleared of their denominators,
+    over the product of the scales."""
+    scale, scaled = 1, []
+    for r in rows:
+        s = math.lcm(*(c.denominator for c in r))
+        scale *= s
+        scaled.append([s // c.denominator * c.numerator for c in r])
+    return Fraction(_bareiss_det(scaled), scale)
+
+
 class TestDeterminant:
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3),
                     min_size=3, max_size=3))
@@ -147,12 +159,17 @@ class TestDeterminant:
     @example([[Fraction(-3, 7)]])
     @settings(max_examples=150, deadline=None)
     def test_matches_bareiss_over_row_scales(self, rows):
-        scale, scaled = 1, []
-        for r in rows:
-            s = math.lcm(*(c.denominator for c in r))
-            scale *= s
-            scaled.append([s // c.denominator * c.numerator for c in r])
-        assert det_rational(rows) == Fraction(_bareiss_det(scaled), scale)
+        assert det_rational(rows) == _bareiss_over_row_scales(rows)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_matches_bareiss_on_wide_entries(self, n):
+        # From 7x7 up, _cofactors divides exactly by a pivot power at three
+        # or more levels of its recursion.
+        rng = random.Random(n)
+        rows = [[Fraction(rng.randrange(-2 ** 60, 2 ** 60),
+                          rng.randrange(1, 2 ** 30)) for _ in range(n)]
+                for _ in range(n)]
+        assert det_rational(rows) == _bareiss_over_row_scales(rows)
 
     def test_singular(self):
         assert det_rational([[Fraction(1), Fraction(2)],

@@ -80,8 +80,8 @@ def configurations(draw, ranks=(2, 5), extra=6):
     t with scales c in {1, 2, 3}, which alternate: all first coordinates equal
     (every row mod an anchor a plain difference) or mixed (some
     multiplied).  Negating all of them keeps them alternating, with every
-    first coordinate negative, so every anchor takes _quotient.  The other
-    half are small random rows.  Then a zero row, a duplicate row or a
+    first coordinate negative, so every anchor's quotient has eps = -1.
+    The other half are small random rows.  Then a zero row, a duplicate row or a
     changed entry may break them.
     """
     r = draw(st.integers(*ranks))
@@ -167,9 +167,8 @@ class TestDifferential:
 
 class TestCost:
     def test_no_rank_2_or_3_step_calls_det_sign(self):
-        # At rank 3, and at rank 4 with positive first coordinates, the
-        # base, every row and every anchor are inline; so is each _extends
-        # call.  The tally still counts every determinant.
+        # At rank 3, and at rank 4 through each anchor's quotient rows,
+        # the base and every row are inline; so is each _extends call.  The tally still counts every determinant.
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             count = count_dets(mp)
