@@ -127,15 +127,12 @@ def _laplace_det(rows):
     return total
 
 
-def _bareiss_over_row_scales(rows):
-    """The Bareiss determinant of the rows cleared of their denominators,
-    over the product of the scales."""
-    scale, scaled = 1, []
-    for r in rows:
-        s = math.lcm(*(c.denominator for c in r))
-        scale *= s
-        scaled.append([s // c.denominator * c.numerator for c in r])
-    return Fraction(_bareiss_det(scaled), scale)
+def _wide(n):
+    """An n x n matrix of 60-bit numerators over 30-bit denominators."""
+    rng = random.Random(n)
+    return [[Fraction(rng.randrange(-2 ** 60, 2 ** 60),
+                      rng.randrange(1, 2 ** 30)) for _ in range(n)]
+            for _ in range(n)]
 
 
 class TestDeterminant:
@@ -157,19 +154,18 @@ class TestDeterminant:
                  min_size=n, max_size=n), min_size=n, max_size=n)))
     @example([])
     @example([[Fraction(-3, 7)]])
+    # From 7x7 up, _cofactors divides exactly by a pivot power at three or
+    # more levels of its recursion.
+    @example(_wide(7))
+    @example(_wide(8))
     @settings(max_examples=150, deadline=None)
     def test_matches_bareiss_over_row_scales(self, rows):
-        assert det_rational(rows) == _bareiss_over_row_scales(rows)
-
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_matches_bareiss_on_wide_entries(self, n):
-        # From 7x7 up, _cofactors divides exactly by a pivot power at three
-        # or more levels of its recursion.
-        rng = random.Random(n)
-        rows = [[Fraction(rng.randrange(-2 ** 60, 2 ** 60),
-                          rng.randrange(1, 2 ** 30)) for _ in range(n)]
-                for _ in range(n)]
-        assert det_rational(rows) == _bareiss_over_row_scales(rows)
+        scale, scaled = 1, []
+        for r in rows:
+            s = math.lcm(*(c.denominator for c in r))
+            scale *= s
+            scaled.append([s // c.denominator * c.numerator for c in r])
+        assert det_rational(rows) == Fraction(_bareiss_det(scaled), scale)
 
     def test_singular(self):
         assert det_rational([[Fraction(1), Fraction(2)],
